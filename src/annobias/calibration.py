@@ -111,11 +111,24 @@ def delta_from_acceptance(
     return (a - upper_bound * p_gt) / (1.0 - p_gt)
 
 
+def _in_band(records: Sequence[AcceptanceRecord], lo: float, hi: float) -> list:
+    """Records whose proposal mass lies in the band ``(lo, hi]``.
+
+    Both edges sit ``_EDGE_TOL`` higher, so a mass that decimal round-off
+    put a hair above ``hi`` still counts, and one a hair above ``lo`` not.
+    """
+    return [
+        rec
+        for rec in records
+        if lo + _EDGE_TOL < rec.gt[rec.proposal] <= hi + _EDGE_TOL
+    ]
+
+
 def estimate_delta_banded(
     records: Sequence[AcceptanceRecord],
     band: tuple = (0.2, 0.4),
     n_target: int = 20,
-    rescale: float = 1.3,
+    rescale: float = 1.0,
     aggregate: str = "mean",
     upper_bound: float = 0.99,
 ) -> float:
@@ -124,7 +137,8 @@ def estimate_delta_banded(
     Each in-band record contributes one inverted-law value (its acceptance
     indicator against its proposal mass); the values are aggregated,
     clamped to [0, 1], rescaled, and clamped again.  ``rescale`` defaults
-    to the study compensation factor — pass 1.0 for unbiased records.
+    to 1.0 (unbiased records); pass :data:`STUDY_RESCALE` for records from
+    annotators who knew the ground truth.
     Fewer than ``n_target`` distinct in-band images triggers a warning,
     no in-band records at all is an error.
     """
@@ -136,20 +150,19 @@ def estimate_delta_banded(
     if rescale < 0.0:
         raise ValueError("rescale must be >= 0")
 
-    values = []
-    image_ids = set()
-    for rec in records:
-        p = rec.gt[rec.proposal]
-        if lo + _EDGE_TOL < p <= hi + _EDGE_TOL:
-            values.append(
-                delta_from_acceptance(1.0 if rec.accepted else 0.0, p, upper_bound)
-            )
-            image_ids.add(rec.image_id)
-    if not values:
+    in_band = _in_band(records, lo, hi)
+    if not in_band:
         raise CalibrationError(
             f"insufficient calibration data: no records with proposal mass in "
             f"({lo}, {hi}]"
         )
+    values = [
+        delta_from_acceptance(
+            1.0 if rec.accepted else 0.0, rec.gt[rec.proposal], upper_bound
+        )
+        for rec in in_band
+    ]
+    image_ids = {rec.image_id for rec in in_band}
     if len(image_ids) < n_target:
         warnings.warn(
             f"only {len(image_ids)} in-band images (target {n_target}); "
@@ -229,6 +242,19 @@ def two_proposal_candidates(
     return candidates
 
 
+def _median_below(candidates: list, threshold: float) -> tuple:
+    """Median of the finite candidates below ``threshold``, and those survivors."""
+    if not candidates:
+        raise CalibrationError("estimator degenerate: no records")
+    survivors = [c for c in candidates if np.isfinite(c) and c < threshold]
+    if not survivors:
+        raise CalibrationError(
+            f"estimator degenerate: no finite candidates below {threshold} "
+            f"out of {len(candidates)} records"
+        )
+    return float(statistics.median(survivors)), survivors
+
+
 def estimate_delta_two_proposals(
     records: Sequence[TwoProposalRecord],
     threshold: float = 0.8,
@@ -240,13 +266,5 @@ def estimate_delta_two_proposals(
     threshold filter; no survivors is an error — the estimator is known to
     be fragile and refusing beats guessing.
     """
-    if not records:
-        raise CalibrationError("estimator degenerate: no records")
     raw = two_proposal_candidates(records, upper_bound)
-    survivors = [c for c in raw if np.isfinite(c) and c < threshold]
-    if not survivors:
-        raise CalibrationError(
-            f"estimator degenerate: no finite candidates below {threshold} "
-            f"out of {len(raw)} records"
-        )
-    return float(statistics.median(survivors))
+    return _median_below(raw, threshold)[0]

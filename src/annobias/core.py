@@ -271,13 +271,36 @@ def argmax_class(d) -> int:
     return int(np.argmax(probs))
 
 
+def _check_proposal(num_classes: int, proposal) -> int:
+    """``proposal`` as an int; IndexError unless it names one of the classes."""
+    proposal = int(proposal)
+    if not 0 <= proposal < num_classes:
+        raise IndexError(
+            f"proposal {proposal} out of range for {num_classes} classes"
+        )
+    return proposal
+
+
+def _uniform_index(n: int, u):
+    """Index in ``0..n-1`` for a uniform ``u`` (a float or an array of them)."""
+    return np.minimum(np.asarray(u * n, dtype=np.int64), n - 1)
+
+
+def _draw_class(probs: np.ndarray, u):
+    """Class drawn from ``probs`` by inverse CDF, per uniform in ``u``.
+
+    ``u`` is a float or an array of floats; the result has its shape.
+    """
+    idx = np.searchsorted(np.cumsum(probs), u, side="right")
+    overflow = idx >= probs.size
+    if not np.count_nonzero(overflow):
+        return idx
+    # float-dust guard: cumulative sum can fall a hair short of 1
+    positive = np.flatnonzero(probs > 0)
+    last = int(positive[-1]) if positive.size else probs.size - 1
+    return np.where(overflow, last, idx)
+
+
 def sample_class(d: LabelDistribution, rng: np.random.Generator) -> int:
     """Draw a class index with probability ``d[k]`` using one uniform."""
-    cum = np.cumsum(d.probs)
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= d.num_classes:
-        # float-dust guard: cumulative sum can fall a hair short of 1
-        positive = np.flatnonzero(d.probs > 0)
-        idx = int(positive[-1]) if positive.size else d.num_classes - 1
-    return idx
+    return int(_draw_class(d.probs, rng.random()))

@@ -24,8 +24,10 @@ from .core import (
     AnnotationSet,
     LabelDistribution,
     TransitionMatrix,
+    _check_proposal,
+    _draw_class,
+    _uniform_index,
     argmax_class,
-    sample_class,
 )
 
 __all__ = [
@@ -70,13 +72,26 @@ class CorrectionParams:
             raise ValueError("mu must lie in [0, 1]")
 
 
-def _check_index(num_classes: int, proposal: int) -> int:
-    proposal = int(proposal)
-    if not 0 <= proposal < num_classes:
-        raise IndexError(
-            f"proposal {proposal} out of range for {num_classes} classes"
-        )
-    return proposal
+def _invert(
+    weights: np.ndarray, share: float, rest, proposal: int, p: CorrectionParams
+) -> LabelDistribution:
+    """Invert the acceptance law at the observed proposal ``share``.
+
+    The proposal's corrected mass is ``share`` mapped back through the
+    affine acceptance law and clamped to [0, 1]; the other ``weights``,
+    divided by their total ``rest``, share the leftover mass.
+    """
+    b = min(max((share - p.delta) / (p.upper_bound - p.delta), 0.0), 1.0)
+    if rest > 0.0:
+        out = weights / rest * (1.0 - b)
+    else:
+        out = np.zeros(weights.size)
+    out[proposal] = b
+    total = float(out.sum())
+    if total <= 0.0:
+        # unreachable for valid params (b = 0 forces non-proposal mass > 0)
+        raise ValueError("corrected distribution lost all mass")
+    return LabelDistribution(out / total)
 
 
 def bias_correct(
@@ -89,19 +104,11 @@ def bias_correct(
     non-proposal counts are normalized among themselves and scaled by the
     leftover mass.
     """
-    proposal = _check_index(a.num_classes, proposal)
+    proposal = _check_proposal(a.num_classes, proposal)
     if a.total < 1:
         raise ValueError("need at least one annotation")
-    share = a[proposal] / a.total
-    b = min(max((share - p.delta) / (p.upper_bound - p.delta), 0.0), 1.0)
-    m = max(1, a.total - a[proposal])
-    out = a.counts / m * (1.0 - b)
-    out[proposal] = b
-    total = float(out.sum())
-    if total <= 0.0:
-        # unreachable for valid params (b = 0 forces non-proposal mass > 0)
-        raise ValueError("corrected distribution lost all mass")
-    return LabelDistribution(out / total)
+    share, rest = a[proposal] / a.total, max(1, a.total - a[proposal])
+    return _invert(a.counts, share, rest, proposal, p)
 
 
 def bias_correct_distribution(
@@ -112,19 +119,8 @@ def bias_correct_distribution(
     Same law as :func:`bias_correct` with probabilities in place of count
     shares; used when the quantity to repair is no longer a raw tally.
     """
-    proposal = _check_index(d.num_classes, proposal)
-    b = min(max((d[proposal] - p.delta) / (p.upper_bound - p.delta), 0.0), 1.0)
-    rest = 1.0 - d[proposal]
-    out = np.array(d.probs, copy=True)
-    if rest > 0.0:
-        out = out / rest * (1.0 - b)
-    else:
-        out[:] = 0.0
-    out[proposal] = b
-    total = float(out.sum())
-    if total <= 0.0:
-        raise ValueError("corrected distribution lost all mass")
-    return LabelDistribution(out / total)
+    proposal = _check_proposal(d.num_classes, proposal)
+    return _invert(d.probs, d[proposal], 1.0 - d[proposal], proposal, p)
 
 
 def blend_with_class_distribution(
@@ -161,7 +157,7 @@ def repair_labels(
     """
     if cb_input not in _CB_INPUTS:
         raise ValueError(f"cb_input must be one of {_CB_INPUTS}, got {cb_input!r}")
-    proposal = _check_index(a.num_classes, proposal)
+    proposal = _check_proposal(a.num_classes, proposal)
     if a.total < 1:
         raise ValueError("need at least one annotation")
     if cb_input == "corrected":
@@ -211,17 +207,13 @@ def estimate_transition_matrix(
     if len(pool) >= n_images:
         order = _permutation_indices(len(pool), rng)[:n_images]
     else:
-        order = np.minimum(
-            (rng.random(n_images) * len(pool)).astype(np.int64), len(pool) - 1
-        )
+        order = _uniform_index(len(pool), rng.random(n_images))
 
     sums = np.zeros((k, k), dtype=np.float64)
     hits = np.zeros(k, dtype=np.int64)
     for i in order:
         gt = pool[int(i)]
-        counts = np.bincount(
-            [sample_class(gt, rng) for _ in range(n_annos)], minlength=k
-        )
+        counts = np.bincount(_draw_class(gt.probs, rng.random(n_annos)), minlength=k)
         empirical = counts / n_annos
         top = int(np.argmax(empirical))
         sums[top] += empirical
@@ -241,6 +233,6 @@ def _permutation_indices(n: int, rng: np.random.Generator) -> np.ndarray:
     """Fisher-Yates shuffle of 0..n-1 driven by plain uniform draws."""
     idx = np.arange(n)
     for i in range(n - 1, 0, -1):
-        j = min(int(rng.random() * (i + 1)), i)
+        j = int(_uniform_index(i + 1, rng.random()))
         idx[i], idx[j] = idx[j], idx[i]
     return idx

@@ -21,6 +21,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .. import __version__
@@ -207,35 +208,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_flags(args) -> dict:
+    """The :class:`ExperimentConfig` fields given as flags (flag dests match)."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)}
+    return {key: value for key, value in overrides.items() if value is not None}
+
+
 def _cmd_simulate(args) -> int:
     data = {}
     if args.config:
         cfg_file = ExperimentConfig.from_file(args.config)
         data = cfg_file.to_mapping()
-    overrides = {
-        "dataset": args.dataset,
-        "seed": args.seed,
-        "strategy": args.strategy,
-        "annotations": args.annotations,
-        "sim_delta": args.sim_delta,
-        "sim_upper_bound": args.sim_upper_bound,
-        "mu": args.mu,
-        "corr_delta": args.corr_delta,
-        "corr_upper_bound": args.corr_upper_bound,
-        "use_bc": args.use_bc,
-        "use_cb": args.use_cb,
-        "cb_input": args.cb_input,
-        "reject_fallback": args.reject_fallback,
-        "transitions": args.transitions,
-        "metrics": args.metrics,
-        "speedups": args.speedups,
-        "initial_supervision": args.initial_supervision,
-        "pct_annotated": args.pct_annotated,
-        "aggregation": args.aggregation,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    data.update(_config_flags(args))
     if "seed" not in data or data["seed"] is None:
         raise ConfigError("a seed is required (--seed or config file)")
     if "dataset" not in data or not data.get("dataset"):
@@ -327,12 +311,7 @@ def _cmd_estimate_transitions(args) -> int:
 
 
 def _cmd_compare_strategies(args) -> int:
-    data = {"seed": args.seed, "dataset": args.dataset}
-    if args.sim_delta is not None:
-        data["sim_delta"] = args.sim_delta
-    if args.sim_upper_bound is not None:
-        data["sim_upper_bound"] = args.sim_upper_bound
-    cfg = ExperimentConfig.from_mapping(data, source="<command line>")
+    cfg = ExperimentConfig.from_mapping(_config_flags(args), source="<command line>")
     rows = run_strategy_comparison(cfg, args.log, repetitions=args.repetitions)
     print(f"{'strategy':<18} {'mean_sod':>10} {'std_sod':>10}")
     for row in rows:

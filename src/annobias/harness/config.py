@@ -7,14 +7,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
-from ..simulation import Strategy
+from ..correction import _CB_INPUTS
+from ..simulation import _REJECT_FALLBACKS, Strategy
 
 __all__ = ["ConfigError", "ExperimentConfig", "KNOWN_METRICS"]
 
 KNOWN_METRICS = ("kl", "l1")
 _AGGREGATIONS = ("median", "mean")
-_CB_INPUTS = ("corrected", "biased")
-_REJECT_FALLBACKS = ("first", "random")
 
 
 class ConfigError(ValueError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -21,8 +21,9 @@ import numpy as np
 from .. import __version__
 from ..calibration import (
     CalibrationError,
+    _in_band,
+    _median_below,
     estimate_delta_banded,
-    estimate_delta_two_proposals,
     two_proposal_candidates,
 )
 from ..core import argmax_class, soft_gt_from_annotations
@@ -40,6 +41,7 @@ from ..simulation import SimulationParams, Strategy, simulate_strategy_set
 from .config import ConfigError, ExperimentConfig
 from .formats import (
     FormatError,
+    _fmt,
     acceptance_records_from_log,
     load_acceptance_log,
     load_dataset,
@@ -77,10 +79,6 @@ class Report:
     budget: list = field(default_factory=list)
 
 
-def _fmt(x) -> str:
-    return repr(float(x))
-
-
 def _l1_distance(gt, est) -> float:
     return float(np.abs(gt.probs - est.probs).sum())
 
@@ -99,22 +97,25 @@ def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
     )
 
 
-def _resolve_transitions(cfg: ExperimentConfig, dataset):
-    """Load the configured confusion matrix or estimate one from the data."""
-    if cfg.transitions is not None:
-        tm_file = load_transition_matrix(cfg.transitions)
-        matrix = tm_file.matrix
+def _resolve_transitions(transitions: Optional[str], seed: Optional[int], dataset):
+    """Load the named confusion matrix, or estimate one from the dataset."""
+    if transitions is not None:
+        matrix = load_transition_matrix(transitions).matrix
         if matrix.num_classes != dataset.num_classes:
             raise FormatError(
-                f"{cfg.transitions}: matrix has {matrix.num_classes} classes, "
+                f"{transitions}: matrix has {matrix.num_classes} classes, "
                 f"dataset has {dataset.num_classes}"
             )
-        return matrix, str(cfg.transitions)
-    rng = substream(cfg.seed, "transition-estimation")
-    matrix = estimate_transition_matrix(
-        [img.gt for img in dataset.images], rng=rng
+        return matrix
+    if seed is None:
+        raise ConfigError(
+            "estimating a transition matrix is stochastic: provide a seed "
+            "or a transitions file"
+        )
+    return estimate_transition_matrix(
+        [img.gt for img in dataset.images],
+        rng=substream(int(seed), "transition-estimation"),
     )
-    return matrix, "estimated"
 
 
 def _proposal_source(dataset) -> str:
@@ -171,26 +172,24 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
         )
         return Report(manifest)
 
-    matrix, transitions_source = _resolve_transitions(cfg, dataset)
+    matrix = _resolve_transitions(cfg.transitions, cfg.seed, dataset)
     manifest = _manifest(
-        cfg, "simulate", transitions_source=transitions_source, **manifest_extra
+        cfg,
+        "simulate",
+        transitions_source=cfg.transitions or "estimated",
+        **manifest_extra,
     )
 
     results = []
     values = {}  # (n, variant, metric) -> list of floats, insertion-ordered
+    params = {n: replace(sim, repetitions=n) for n in cfg.annotations}
     for img in dataset.images:
         proposal = img.proposal if img.proposal is not None else argmax_class(img.gt)
         for n in cfg.annotations:
             rng = substream(cfg.seed, "simulate", n, img.image_id)
-            params = SimulationParams(
-                delta=sim.delta,
-                upper_bound=sim.upper_bound,
-                repetitions=n,
-                reject_fallback=cfg.reject_fallback,
-            )
             try:
                 counts = simulate_strategy_set(
-                    strategy, img.gt, proposal, params, rng
+                    strategy, img.gt, proposal, params[n], rng
                 )
                 raw = soft_gt_from_annotations(counts)
                 repaired = repair_labels(
@@ -314,7 +313,7 @@ def run_calibration(
                 f"{e}; proposal-mass bin occupancy: {occupancy_by_bin}"
             ) from e
         lo, hi = float(band[0]), float(band[1])
-        in_band = [r for r in records if lo < r.gt[r.proposal] <= hi]
+        in_band = _in_band(records, lo, hi)
         return {
             "method": "banded",
             "estimate": estimate,
@@ -330,18 +329,14 @@ def run_calibration(
     if method == "two-proposal":
         records = two_proposal_records_from_log(entries, dataset.num_classes)
         raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)
-        finite = [c for c in raw if np.isfinite(c)]
-        survivors = [c for c in finite if c < threshold]
-        estimate = estimate_delta_two_proposals(
-            records, threshold=threshold, upper_bound=sim.upper_bound
-        )
+        estimate, survivors = _median_below(raw, threshold)
         return {
             "method": "two-proposal",
             "estimate": estimate,
             "threshold": threshold,
             "upper_bound": sim.upper_bound,
             "n_records": len(records),
-            "n_finite_candidates": len(finite),
+            "n_finite_candidates": int(np.isfinite(raw).sum()),
             "n_survivors": len(survivors),
             "candidate_min": float(min(survivors)),
             "candidate_max": float(max(survivors)),
@@ -382,24 +377,7 @@ def run_label_correction(
             f"image {missing_prop[0]!r} has no proposal; correction requires "
             f"an explicit proposal column"
         )
-    if transitions is not None:
-        tm_file = load_transition_matrix(transitions)
-        matrix = tm_file.matrix
-        if matrix.num_classes != dataset.num_classes:
-            raise FormatError(
-                f"{transitions}: matrix has {matrix.num_classes} classes, "
-                f"dataset has {dataset.num_classes}"
-            )
-    else:
-        if seed is None:
-            raise ConfigError(
-                "estimating a transition matrix is stochastic: provide a seed "
-                "or a transitions file"
-            )
-        matrix = estimate_transition_matrix(
-            [img.gt for img in dataset.images],
-            rng=substream(int(seed), "transition-estimation"),
-        )
+    matrix = _resolve_transitions(transitions, seed, dataset)
     corr = CorrectionParams(
         delta=corr_delta,
         upper_bound=corr_upper_bound,

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import AcceptanceRecord
+from .calibration import _EDGE_TOL, AcceptanceRecord
 from .core import LabelDistribution
 from .rng import substream
 from .simulation import SimulationParams, Strategy, simulate_with_strategy
@@ -41,8 +41,6 @@ __all__ = [
 # 0.2.  BIN_EDGES are the upper edges of bins 1..5.
 BIN_EDGES = (0.2, 0.4, 0.6, 0.8, 1.0)
 NUM_BINS = len(BIN_EDGES) + 1
-
-_EDGE_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)

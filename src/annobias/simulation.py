@@ -17,8 +17,10 @@ import numpy as np
 from .core import (
     AnnotationSet,
     LabelDistribution,
+    _check_proposal,
+    _draw_class,
+    _uniform_index,
     argmax_class,
-    sample_class,
 )
 
 __all__ = [
@@ -100,15 +102,6 @@ class SimulationParams:
             )
 
 
-def _check_proposal(gt: LabelDistribution, proposal: int) -> int:
-    proposal = int(proposal)
-    if not 0 <= proposal < gt.num_classes:
-        raise IndexError(
-            f"proposal {proposal} out of range for {gt.num_classes} classes"
-        )
-    return proposal
-
-
 def acceptance_probability(
     gt: LabelDistribution, proposal: int, p: SimulationParams
 ) -> float:
@@ -117,84 +110,50 @@ def acceptance_probability(
     Affine in the proposal's ground-truth mass: ``delta`` when the mass is
     zero, ``upper_bound`` when the proposal is certain.
     """
-    proposal = _check_proposal(gt, proposal)
+    proposal = _check_proposal(gt.num_classes, proposal)
     return p.delta + (p.upper_bound - p.delta) * gt[proposal]
 
 
-def _fallback_class(
-    num_classes: int, proposal: int, policy: str, r: float
-) -> int:
-    """Annotated class when no rejection mass remains outside the proposal."""
-    if policy == "first":
-        return 0 if proposal != 0 else 1
-    # uniform over the non-proposal classes, reusing the rejection uniform
-    j = min(int(r * (num_classes - 1)), num_classes - 2)
-    return j if j < proposal else j + 1
+def _other_class(num_classes: int, proposal: int, r):
+    """Class uniform over all but ``proposal``, per uniform in ``r``."""
+    j = _uniform_index(num_classes - 1, r)
+    return j + (j >= proposal)
 
 
-def _sample_rejected(
-    gt: LabelDistribution, proposal: int, p: SimulationParams, r: float
-) -> int:
-    """Class for one rejected proposal, driven by the uniform draw ``r``.
+def _rejected_class(probs: np.ndarray, proposal: int, fallback: str, r):
+    """Class of a rejected proposal, per uniform in ``r`` (float or array).
 
     Walks the cumulative ground-truth mass of the non-proposal classes and
     returns the first class whose cumulative mass reaches ``r`` times the
-    total non-proposal mass.  When that mass is zero the configured
-    fallback decides.
+    total non-proposal mass.  When that mass is zero (or the walk runs off
+    the end) the ``fallback`` policy decides: ``"first"`` is the first
+    non-proposal class, ``"random"`` reuses ``r`` for a uniform pick among
+    the non-proposal classes.
     """
-    remainder = 1.0 - gt[proposal]
-    if remainder <= 0.0:
-        return _fallback_class(gt.num_classes, proposal, p.reject_fallback, r)
-    masked = np.array(gt.probs, copy=True)
-    masked[proposal] = 0.0
-    cum = np.cumsum(masked)
-    target = r * remainder
-    idx = int(np.searchsorted(cum, target, side="left"))
-    if idx == proposal:
-        idx += 1
-    if idx >= gt.num_classes:
-        return _fallback_class(gt.num_classes, proposal, p.reject_fallback, r)
-    return idx
+    k = probs.size
+    remainder = 1.0 - probs[proposal]
+    if remainder > 0.0:
+        masked = probs.copy()
+        masked[proposal] = 0.0
+        idx = np.searchsorted(np.cumsum(masked), r * remainder, side="left")
+        idx = idx + (idx == proposal)
+    else:
+        idx = np.full(np.shape(r), k)
+    overflow = idx >= k
+    if not np.count_nonzero(overflow):
+        return idx
+    if fallback == "first":
+        spare = 0 if proposal != 0 else 1
+    else:
+        spare = _other_class(k, proposal, r)
+    return np.where(overflow, spare, idx)
 
 
 def simulate_annotation(
     gt: LabelDistribution, proposal: int, p: SimulationParams, rng: np.random.Generator
 ) -> int:
     """One annotation of one image under the acceptance model."""
-    proposal = _check_proposal(gt, proposal)
-    a = acceptance_probability(gt, proposal, p)
-    if rng.random() <= a:
-        return proposal
-    return _sample_rejected(gt, proposal, p, rng.random())
-
-
-def _rejected_classes_vectorized(
-    gt: LabelDistribution, proposal: int, p: SimulationParams, r: np.ndarray
-) -> np.ndarray:
-    """Vector version of :func:`_sample_rejected` over many uniforms."""
-    k = gt.num_classes
-    remainder = 1.0 - gt[proposal]
-    if remainder <= 0.0:
-        if p.reject_fallback == "first":
-            return np.full(r.shape, 0 if proposal != 0 else 1, dtype=np.int64)
-        j = np.minimum((r * (k - 1)).astype(np.int64), k - 2)
-        return np.where(j < proposal, j, j + 1)
-    masked = np.array(gt.probs, copy=True)
-    masked[proposal] = 0.0
-    cum = np.cumsum(masked)
-    idx = np.searchsorted(cum, r * remainder, side="left").astype(np.int64)
-    idx[idx == proposal] += 1
-    overflow = idx >= k
-    if np.any(overflow):
-        fb = np.array(
-            [
-                _fallback_class(k, proposal, p.reject_fallback, ri)
-                for ri in r[overflow]
-            ],
-            dtype=np.int64,
-        )
-        idx[overflow] = fb
-    return idx
+    return simulate_with_strategy(Strategy.ACCEPT_GT, gt, proposal, p, rng)
 
 
 def simulate_annotation_set(
@@ -207,22 +166,7 @@ def simulate_annotation_set(
     :func:`simulate_annotation` calls and the result is deterministic for a
     given generator state.
     """
-    proposal = _check_proposal(gt, proposal)
-    n = p.repetitions
-    a = acceptance_probability(gt, proposal, p)
-    u = rng.random(n)
-    accepted = u <= a
-    n_rejected = int(n - accepted.sum())
-    classes = np.full(n, proposal, dtype=np.int64)
-    if n_rejected:
-        r = rng.random(n_rejected)
-        classes[~accepted] = _rejected_classes_vectorized(gt, proposal, p, r)
-    counts = np.bincount(classes, minlength=gt.num_classes)
-    return AnnotationSet(counts, n)
-
-
-def _uniform_class(num_classes: int, rng: np.random.Generator) -> int:
-    return min(int(rng.random() * num_classes), num_classes - 1)
+    return simulate_strategy_set(Strategy.ACCEPT_GT, gt, proposal, p, rng)
 
 
 def _most_likely_remaining(gt: LabelDistribution, proposal: int) -> int:
@@ -239,37 +183,31 @@ def simulate_with_strategy(
     rng: np.random.Generator,
 ) -> int:
     """One annotation under any of the seven annotator models."""
-    proposal = _check_proposal(gt, proposal)
+    proposal = _check_proposal(gt.num_classes, proposal)
     if strategy is Strategy.RANDOM:
-        return _uniform_class(gt.num_classes, rng)
+        return int(_uniform_index(gt.num_classes, rng.random()))
     if strategy is Strategy.GT:
-        return sample_class(gt, rng)
+        return int(_draw_class(gt.probs, rng.random()))
     if strategy is Strategy.LIKELY:
         return argmax_class(gt)
-    if strategy is Strategy.ACCEPT_GT:
-        return simulate_annotation(gt, proposal, p, rng)
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    # the four remaining strategies start with the acceptance draw
+    if rng.random() <= acceptance_probability(gt, proposal, p):
+        return proposal
     if strategy is Strategy.ACCEPT_LIKELY:
-        a = acceptance_probability(gt, proposal, p)
-        if rng.random() <= a:
-            return proposal
         return _most_likely_remaining(gt, proposal)
-    if strategy in (Strategy.TWO_ACCEPT_GT, Strategy.TWO_ACCEPT_RANDOM):
-        a = acceptance_probability(gt, proposal, p)
-        if rng.random() <= a:
-            return proposal
+    if strategy is not Strategy.ACCEPT_GT:
+        # two-stage: offer the most likely class before the final draw
         likely = argmax_class(gt)
-        if likely != proposal:
-            a2 = acceptance_probability(gt, likely, p)
-            if rng.random() <= a2:
-                return likely
-        r = rng.random()
-        if strategy is Strategy.TWO_ACCEPT_GT:
-            return _sample_rejected(gt, proposal, p, r)
-        # uniform over the classes other than the original proposal
-        k = gt.num_classes
-        j = min(int(r * (k - 1)), k - 2)
-        return j if j < proposal else j + 1
-    raise ValueError(f"unknown strategy {strategy!r}")
+        if likely != proposal and rng.random() <= acceptance_probability(
+            gt, likely, p
+        ):
+            return likely
+    r = rng.random()
+    if strategy is Strategy.TWO_ACCEPT_RANDOM:
+        return int(_other_class(gt.num_classes, proposal, r))
+    return int(_rejected_class(gt.probs, proposal, p.reject_fallback, r))
 
 
 def simulate_strategy_set(
@@ -282,37 +220,32 @@ def simulate_strategy_set(
     """Tally ``p.repetitions`` annotations under any strategy.
 
     The common strategies have vectorized paths; the two-stage acceptance
-    strategies fall back to the scalar draw loop.
+    strategies fall back to the scalar draw loop.  ``ACCEPT_GT`` draws all
+    acceptance uniforms first, then one uniform per rejection.
     """
-    proposal = _check_proposal(gt, proposal)
+    proposal = _check_proposal(gt.num_classes, proposal)
     n = p.repetitions
     k = gt.num_classes
-    if strategy is Strategy.ACCEPT_GT:
-        return simulate_annotation_set(gt, proposal, p, rng)
     if strategy is Strategy.LIKELY:
-        counts = np.zeros(k, dtype=np.int64)
-        counts[argmax_class(gt)] = n
-        return AnnotationSet(counts, n)
-    if strategy is Strategy.RANDOM:
-        classes = np.minimum((rng.random(n) * k).astype(np.int64), k - 1)
-        return AnnotationSet(np.bincount(classes, minlength=k), n)
-    if strategy is Strategy.GT:
-        cum = np.cumsum(gt.probs)
-        idx = np.searchsorted(cum, rng.random(n), side="right")
-        positive = np.flatnonzero(gt.probs > 0)
-        last = int(positive[-1]) if positive.size else k - 1
-        idx = np.where(idx >= k, last, idx).astype(np.int64)
-        return AnnotationSet(np.bincount(idx, minlength=k), n)
-    if strategy is Strategy.ACCEPT_LIKELY:
-        a = acceptance_probability(gt, proposal, p)
-        accepted = rng.random(n) <= a
-        classes = np.where(
-            accepted, proposal, _most_likely_remaining(gt, proposal)
-        ).astype(np.int64)
-        return AnnotationSet(np.bincount(classes, minlength=k), n)
-    classes = np.fromiter(
-        (simulate_with_strategy(strategy, gt, proposal, p, rng) for _ in range(n)),
-        dtype=np.int64,
-        count=n,
-    )
+        classes = np.full(n, argmax_class(gt))
+    elif strategy is Strategy.RANDOM:
+        classes = _uniform_index(k, rng.random(n))
+    elif strategy is Strategy.GT:
+        classes = _draw_class(gt.probs, rng.random(n))
+    elif strategy in (Strategy.ACCEPT_GT, Strategy.ACCEPT_LIKELY):
+        rejected = rng.random(n) > acceptance_probability(gt, proposal, p)
+        classes = np.full(n, proposal)
+        if strategy is Strategy.ACCEPT_LIKELY:
+            classes[rejected] = _most_likely_remaining(gt, proposal)
+        elif rejected.any():
+            r = rng.random(int(rejected.sum()))
+            classes[rejected] = _rejected_class(
+                gt.probs, proposal, p.reject_fallback, r
+            )
+    else:
+        classes = np.fromiter(
+            (simulate_with_strategy(strategy, gt, proposal, p, rng) for _ in range(n)),
+            dtype=np.int64,
+            count=n,
+        )
     return AnnotationSet(np.bincount(classes, minlength=k), n)

@@ -141,6 +141,15 @@ class TestEstimateDeltaBanded:
         assert scaled == pytest.approx(1.3 * base, abs=1e-12)
         assert estimate_delta_banded(records, n_target=1, rescale=10.0) == 1.0
 
+    def test_rescale_defaults_to_neutral(self):
+        records = [
+            AcceptanceRecord(f"i{j}", 0, 0 if j < 5 else 1, GT3)
+            for j in range(10)
+        ]
+        assert estimate_delta_banded(records, n_target=1) == estimate_delta_banded(
+            records, n_target=1, rescale=1.0
+        )
+
     def test_median_aggregate(self):
         records = [
             AcceptanceRecord("i0", 0, 0, GT3),

@@ -367,6 +367,37 @@ class TestRunCalibration:
         with pytest.raises(CalibrationError, match="occupancy.*bin_3"):
             run_calibration(cfg, log_path, "banded")
 
+    def _edge_setup(self, tmp_path, masses):
+        """One accepted record per image, proposing class 0 at each mass."""
+        images = tuple(
+            ImageRecord(f"img_{i}", LabelDistribution([m, 0.5, 0.5 - m]), None, (), 0)
+            for i, m in enumerate(masses)
+        )
+        ds = Dataset(DatasetMeta(("a", "b", "c")), images)
+        ds_dir = tmp_path / "edge"
+        save_dataset(ds, ds_dir)
+        log_path = tmp_path / "edge_log.csv"
+        entries = [LogEntry(img.image_id, 0, 0) for img in images]
+        save_acceptance_log(entries, log_path, ds.meta)
+        return ExperimentConfig(seed=0, dataset=str(ds_dir)), log_path
+
+    def test_report_counts_record_the_estimate_used_at_upper_edge(self, tmp_path):
+        # 0.4 + 5e-13 is inside the band's round-off tolerance
+        cfg, log_path = self._edge_setup(tmp_path, [0.4 + 5e-13])
+        report = run_calibration(cfg, log_path, "banded", n_target=1)
+        assert report["n_in_band_records"] == 1
+        assert report["n_in_band_images"] == 1
+
+    def test_report_skips_record_the_estimate_skipped_at_lower_edge(self, tmp_path):
+        # 0.2 + 5e-13 is within round-off of the open lower edge: out of band
+        cfg, log_path = self._edge_setup(tmp_path, [0.2 + 5e-13])
+        with pytest.raises(CalibrationError, match="no records"):
+            run_calibration(cfg, log_path, "banded", n_target=1)
+        cfg, log_path = self._edge_setup(tmp_path, [0.2 + 5e-13, 0.3])
+        report = run_calibration(cfg, log_path, "banded", n_target=1)
+        assert report["n_in_band_records"] == 1
+        assert report["n_in_band_images"] == 1
+
     def test_two_proposal_report(self, tmp_path):
         records = two_proposal_dataset(seed=0, delta=0.1, n_records=50)
         entries = []

@@ -17,6 +17,7 @@ from annobias import (
     simulate_with_strategy,
     substream,
 )
+from annobias.simulation import _rejected_class
 
 
 class FakeRng:
@@ -274,11 +275,24 @@ class TestStrategies:
         assert abs(freqs[1] - 0.6) <= 0.005
 
     @pytest.mark.parametrize(
-        "strategy",
-        [Strategy.ACCEPT_LIKELY, Strategy.RANDOM, Strategy.GT, Strategy.LIKELY],
+        "strategy, fallback",
+        [
+            pytest.param(s, "first", id=str(s))
+            for s in (
+                Strategy.ACCEPT_LIKELY,
+                Strategy.RANDOM,
+                Strategy.GT,
+                Strategy.LIKELY,
+            )
+        ]
+        + [
+            pytest.param(s, fallback, id=f"{s}-{fallback}")
+            for s in (Strategy.TWO_ACCEPT_GT, Strategy.TWO_ACCEPT_RANDOM)
+            for fallback in ("first", "random")
+        ],
     )
-    def test_set_path_matches_scalar_loop_draw_for_draw(self, strategy):
-        p = SimulationParams(delta=0.1, repetitions=500)
+    def test_set_path_matches_scalar_loop_draw_for_draw(self, strategy, fallback):
+        p = SimulationParams(delta=0.1, repetitions=500, reject_fallback=fallback)
         key = ("strat-vec", strategy.name)
         batched = simulate_strategy_set(
             strategy, self.GT, 2, p, substream(9, *key)
@@ -332,3 +346,60 @@ def test_simulated_classes_always_valid(weights, idx, delta, seed):
     assert a.total == 25
     assert a.counts.sum() == 25
     assert np.all(a.counts >= 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+        min_size=2,
+        max_size=6,
+    ),
+    st.integers(min_value=0, max_value=5),
+    st.sampled_from(["first", "random"]),
+    st.sampled_from(["as_drawn", "certain", "short"]),
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.just(float(np.nextafter(1.0, 0.0))),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+)
+def test_rejection_law_scalar_matches_array(weights, idx, fallback, shape, rs):
+    """One rejection law: a uniform gives the same class alone or in an array.
+
+    ``certain`` puts all mass on the proposal (the fallback case);
+    ``short`` leaves the masses summing a hair under 1, as stored
+    distributions may, so uniforms near 1 run off the cumulative sum.
+    """
+    k = len(weights)
+    proposal = idx % k
+    probs = np.asarray(weights, dtype=np.float64)
+    if shape == "certain" or probs.sum() == probs[proposal]:
+        probs = np.zeros(k)
+        probs[proposal] = 1.0
+    else:
+        probs = probs / probs.sum()
+        if shape == "short":
+            probs = probs * (1.0 - 1e-10)
+    r = np.asarray(rs)
+    batch = _rejected_class(probs, proposal, fallback, r)
+    assert batch.shape == r.shape
+    for ri, cls in zip(rs, batch):
+        single = _rejected_class(probs, proposal, fallback, ri)
+        assert np.ndim(single) == 0
+        assert int(single) == int(cls)
+        assert 0 <= int(cls) < k and int(cls) != proposal
+
+
+@pytest.mark.parametrize("fallback, expected", [("first", 0), ("random", 2)])
+def test_rejection_law_falls_back_when_walk_overflows(fallback, expected):
+    # 1 - p[proposal] exceeds the stored non-proposal mass, so a uniform
+    # near 1 walks past the last class and the fallback decides.
+    probs = np.array([0.2, 0.5, 0.3]) * (1.0 - 1e-10)
+    r = float(np.nextafter(1.0, 0.0))
+    assert int(_rejected_class(probs, 1, fallback, r)) == expected
+    batch = _rejected_class(probs, 1, fallback, np.array([0.1, r]))
+    np.testing.assert_array_equal(batch, [0, expected])
