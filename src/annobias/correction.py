@@ -230,9 +230,14 @@ def estimate_transition_matrix(
 
 
 def _permutation_indices(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Fisher-Yates shuffle of 0..n-1 driven by plain uniform draws."""
-    idx = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(_uniform_index(i + 1, rng.random()))
+    """Fisher-Yates shuffle of 0..n-1 driven by plain uniform draws.
+
+    Position ``i`` (from ``n - 1`` down to 1) swaps with an index drawn
+    uniformly from ``0..i``; the draws are taken in one batch.
+    """
+    positions = range(n - 1, 0, -1)
+    picks = _uniform_index(np.arange(n, 1, -1), rng.random(len(positions)))
+    idx = list(range(n))
+    for i, j in zip(positions, picks.tolist()):
         idx[i], idx[j] = idx[j], idx[i]
-    return idx
+    return np.array(idx, dtype=int)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -83,14 +84,23 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _not_utf8(path: Path, e: UnicodeDecodeError) -> FormatError:
+    return FormatError(f"{path}: not valid UTF-8 text ({e.reason})")
+
+
 def _read_json(path: Path) -> dict:
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
     except OSError as e:
         raise FormatError(f"{path}: cannot read: {e}") from e
+    except UnicodeDecodeError as e:
+        raise _not_utf8(path, e) from e
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}:{e.lineno}: invalid JSON: {e.msg}") from e
+    except (ValueError, RecursionError) as e:
+        # an integer literal past the digit limit, or nesting too deep
+        raise FormatError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     return data
@@ -170,17 +180,32 @@ def _load_meta(path: Path) -> DatasetMeta:
     names = data["class_names"]
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise FormatError(f"{path}: 'class_names' must be a list of strings")
-    kwargs = {}
+    numbers = {}
     for key in ("delta", "upper_bound", "mu"):
         if key in data:
             value = data[key]
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise FormatError(f"{path}: {key!r} must be a number")
-            kwargs[key] = float(value)
+            numbers[key] = value
     try:
+        # float() overflows on an integer literal past the float range
+        kwargs = {key: float(value) for key, value in numbers.items()}
         return DatasetMeta(tuple(names), **kwargs)
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise FormatError(f"{path}: {e}") from e
+
+
+@contextmanager
+def _csv_reader(path: Path):
+    """``csv.reader`` over a UTF-8 file; bad bytes or quoting raise FormatError."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            yield reader
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
+        except csv.Error as e:
+            raise FormatError(f"{path}:{reader.line_num}: {e}") from e
 
 
 def _expect_header(path: Path, got: Optional[list], want: list) -> None:
@@ -204,8 +229,7 @@ def _load_gt(path: Path, meta: DatasetMeta):
     k = meta.num_classes
     base_header = ["image_id"] + [f"p_{i}" for i in range(k)]
     rows = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         has_proposal = header is not None and [
             h.strip() for h in header
@@ -246,8 +270,7 @@ def _load_gt(path: Path, meta: DatasetMeta):
 def _load_annotations(path: Path, meta: DatasetMeta):
     """Parse annotations.csv into {image_id: [class index, ...]} in file order."""
     rows = {}
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    with _csv_reader(path) as reader:
         header = next(reader, None)
         _expect_header(path, header, ["image_id", "annotator_idx", "class"])
         for row in reader:
@@ -364,8 +387,7 @@ def load_acceptance_log(path, meta: DatasetMeta):
     """Read an acceptance log into class-index entries, preserving order."""
     p = Path(path)
     entries = []
-    with open(p, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
+    with _csv_reader(p) as reader:
         header = next(reader, None)
         _expect_header(p, header, ["image_id", "proposal_class", "annotated_class"])
         for row in reader:
@@ -527,7 +549,7 @@ def load_transition_matrix(path) -> TransitionMatrixFile:
             tuple(names) if names is not None else None,
             metadata,
         )
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         raise FormatError(f"{p}: {e}") from e
 
 

@@ -19,8 +19,13 @@ import numpy as np
 
 from .calibration import _EDGE_TOL, AcceptanceRecord
 from .core import LabelDistribution
-from .rng import substream
-from .simulation import SimulationParams, Strategy, simulate_with_strategy
+from .rng import uniforms
+from .simulation import (
+    _MAX_UNIFORMS_PER_DRAW,
+    SimulationParams,
+    Strategy,
+    simulate_with_strategy,
+)
 
 __all__ = [
     "BIN_EDGES",
@@ -194,6 +199,26 @@ class StrategyComparison:
     std: float
 
 
+class _RowReader:
+    """Stands in for a generator: ``random()`` returns a row's next uniform.
+
+    Reading past the end of the row raises instead of reusing a value.
+    """
+
+    __slots__ = ("_row", "_next")
+
+    def __init__(self, row):
+        self._row = row
+        self._next = 0
+
+    def random(self) -> float:
+        i = self._next
+        if i == len(self._row):
+            raise RuntimeError(f"a draw read more than {i} pre-drawn uniforms")
+        self._next = i + 1
+        return self._row[i]
+
+
 def compare_strategies(
     records: Sequence[AcceptanceRecord],
     strategy: Strategy,
@@ -209,9 +234,11 @@ def compare_strategies(
     matrices are compared, and the normalized distances are summarized as
     mean and population standard deviation.
 
-    Each simulated draw uses a stream derived from (seed, image id,
-    per-image record ordinal, repetition), so results are independent of
-    record order across images.
+    Each simulated draw reads the stream keyed (seed, "strategy-comparison",
+    image id, per-image record ordinal, repetition), so results are
+    independent of record order across images.  All streams are derived
+    in one batch (:func:`~annobias.rng.uniforms`), bit-identical to one
+    :func:`~annobias.rng.substream` per draw.
     """
     if not records:
         raise ValueError("need at least one record")
@@ -224,15 +251,22 @@ def compare_strategies(
     for rec in records:
         ordinal = ordinals.get(rec.image_id, 0)
         ordinals[rec.image_id] = ordinal + 1
-        keyed.append((rec, ordinal))
+        keyed.append((rec.image_id, ordinal))
+    streams = (
+        ("strategy-comparison", image_id, ordinal, rep)
+        for rep in range(repetitions)
+        for image_id, ordinal in keyed
+    )
+    draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW).reshape(
+        repetitions, len(records), _MAX_UNIFORMS_PER_DRAW
+    )
 
     sods = []
-    for rep in range(repetitions):
+    for rep_draws in draws:
         simulated = []
-        for rec, ordinal in keyed:
-            rng = substream(seed, "strategy-comparison", rec.image_id, ordinal, rep)
+        for rec, row in zip(records, rep_draws.tolist()):
             annotated = simulate_with_strategy(
-                strategy, rec.gt, rec.proposal, p, rng
+                strategy, rec.gt, rec.proposal, p, _RowReader(row)
             )
             simulated.append(
                 AcceptanceRecord(rec.image_id, rec.proposal, annotated, rec.gt)

@@ -175,6 +175,11 @@ def _most_likely_remaining(gt: LabelDistribution, proposal: int) -> int:
     return int(np.argmax(masked))
 
 
+# Uniforms one simulate_with_strategy call reads at most: the acceptance
+# draw, the second acceptance of the two-stage strategies, the final draw.
+_MAX_UNIFORMS_PER_DRAW = 3
+
+
 def simulate_with_strategy(
     strategy: Strategy,
     gt: LabelDistribution,
@@ -182,7 +187,10 @@ def simulate_with_strategy(
     p: SimulationParams,
     rng: np.random.Generator,
 ) -> int:
-    """One annotation under any of the seven annotator models."""
+    """One annotation under any of the seven annotator models.
+
+    Only ``rng.random()`` is called, at most ``_MAX_UNIFORMS_PER_DRAW`` times.
+    """
     proposal = _check_proposal(gt.num_classes, proposal)
     if strategy is Strategy.RANDOM:
         return int(_uniform_index(gt.num_classes, rng.random()))
