@@ -60,18 +60,7 @@ class LabelDistribution:
             raise DegenerateDistributionError("probabilities must form a 1-d vector")
         if p.size < 2:
             raise DegenerateDistributionError("need at least two classes")
-        if not np.all(np.isfinite(p)):
-            raise DegenerateDistributionError("non-finite probability entry")
-        if np.any(p < -1e-12) or np.any(p > 1.0 + 1e-12):
-            raise DegenerateDistributionError("probability entry outside [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > RENORMALIZE_TOL:
-            raise DegenerateDistributionError(
-                f"probabilities sum to {total!r}, not normalizable"
-            )
-        if abs(total - 1.0) > SUM_TOL:
-            p = p / total
-        np.clip(p, 0.0, 1.0, out=p)
+        _validated_rows(p[None])
         object.__setattr__(self, "probs", _readonly(p))
 
     @property
@@ -88,6 +77,34 @@ class LabelDistribution:
         return self.num_classes == other.num_classes and bool(
             np.allclose(self.probs, other.probs, rtol=0.0, atol=atol)
         )
+
+
+def _validated_rows(p: np.ndarray) -> np.ndarray:
+    """Check every row of float64 ``p[N, K]`` as :class:`LabelDistribution` does.
+
+    Raises the error of the first invalid row.  Otherwise rewrites ``p``
+    in place to the rows as ``LabelDistribution`` stores them
+    (renormalized when their sum is off by more than ``SUM_TOL``, then
+    clipped to [0, 1]) and returns it.
+    """
+    totals = p.sum(axis=1)
+    off = np.abs(totals - 1.0)
+    # comparisons with NaN are false, so non-finite rows fail here too
+    in_range = (p >= -1e-12) & (p <= 1.0 + 1e-12)
+    bad = ~(in_range.all(axis=1) & (off <= RENORMALIZE_TOL))
+    if bad.any():
+        i = int(bad.argmax())
+        if not np.isfinite(p[i]).all():
+            raise DegenerateDistributionError("non-finite probability entry")
+        if not in_range[i].all():
+            raise DegenerateDistributionError("probability entry outside [0, 1]")
+        raise DegenerateDistributionError(
+            f"probabilities sum to {float(totals[i])!r}, not normalizable"
+        )
+    rescale = off > SUM_TOL
+    if rescale.any():
+        p[rescale] /= totals[rescale, None]
+    return p.clip(0.0, 1.0, out=p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,6 +298,13 @@ def _check_proposal(num_classes: int, proposal) -> int:
     return proposal
 
 
+def _check_proposals(num_classes: int, proposals: np.ndarray) -> None:
+    """:func:`_check_proposal` of every entry; raises for the first bad one."""
+    bad = (proposals < 0) | (proposals >= num_classes)
+    if bad.any():
+        _check_proposal(num_classes, proposals[np.argmax(bad)])
+
+
 def _uniform_index(n: int, u):
     """Index in ``0..n-1`` for a uniform ``u`` (a float or an array of them)."""
     return np.minimum(np.asarray(u * n, dtype=np.int64), n - 1)
@@ -289,15 +313,20 @@ def _uniform_index(n: int, u):
 def _draw_class(probs: np.ndarray, u):
     """Class drawn from ``probs`` by inverse CDF, per uniform in ``u``.
 
-    ``u`` is a float or an array of floats; the result has its shape.
+    ``probs`` is one distribution ``[K]`` with ``u`` a float or an array
+    of them, or rows ``[R, K]`` with one uniform per row in ``u[R]``; the
+    result has the shape of ``u``.
     """
-    idx = np.searchsorted(np.cumsum(probs), u, side="right")
-    overflow = idx >= probs.size
-    if not np.count_nonzero(overflow):
+    # entries at or below u in a nondecreasing cumsum: searchsorted "right"
+    cdf = probs.cumsum(axis=-1)
+    idx = (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
+    k = probs.shape[-1]
+    overflow = idx >= k
+    if not overflow.any():
         return idx
-    # float-dust guard: cumulative sum can fall a hair short of 1
-    positive = np.flatnonzero(probs > 0)
-    last = int(positive[-1]) if positive.size else probs.size - 1
+    # float-dust guard: cumulative sum can fall a hair short of 1; the
+    # draw then takes the last class with mass (the last class if none)
+    last = k - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
     return np.where(overflow, last, idx)
 
 

@@ -25,9 +25,10 @@ from .core import (
     LabelDistribution,
     TransitionMatrix,
     _check_proposal,
+    _check_proposals,
     _draw_class,
     _uniform_index,
-    argmax_class,
+    _validated_rows,
 )
 
 __all__ = [
@@ -73,25 +74,56 @@ class CorrectionParams:
 
 
 def _invert(
-    weights: np.ndarray, share: float, rest, proposal: int, p: CorrectionParams
-) -> LabelDistribution:
-    """Invert the acceptance law at the observed proposal ``share``.
+    weights: np.ndarray,
+    share: np.ndarray,
+    rest: np.ndarray,
+    proposals: np.ndarray,
+    p: CorrectionParams,
+) -> np.ndarray:
+    """Invert the acceptance law at the observed proposal ``share`` of every row.
 
     The proposal's corrected mass is ``share`` mapped back through the
     affine acceptance law and clamped to [0, 1]; the other ``weights``,
-    divided by their total ``rest``, share the leftover mass.
+    divided by their total ``rest``, share the leftover mass.  Returns
+    the rows as :class:`LabelDistribution` stores them.
     """
-    b = min(max((share - p.delta) / (p.upper_bound - p.delta), 0.0), 1.0)
-    if rest > 0.0:
-        out = weights / rest * (1.0 - b)
-    else:
-        out = np.zeros(weights.size)
-    out[proposal] = b
-    total = float(out.sum())
-    if total <= 0.0:
+    b = np.minimum(np.maximum((share - p.delta) / (p.upper_bound - p.delta), 0.0), 1.0)
+    out = np.zeros(weights.shape)
+    live = rest > 0.0
+    out[live] = weights[live] / rest[live, None] * (1.0 - b[live, None])
+    out[np.arange(proposals.size), proposals] = b
+    total = out.sum(axis=1)
+    if (total <= 0.0).any():
         # unreachable for valid params (b = 0 forces non-proposal mass > 0)
         raise ValueError("corrected distribution lost all mass")
-    return LabelDistribution(out / total)
+    return _validated_rows(out / total[:, None])
+
+
+def _correct_counts(counts: np.ndarray, proposals: np.ndarray, p) -> np.ndarray:
+    """:func:`bias_correct` of every row of ``counts[N, K]``."""
+    at = (np.arange(proposals.size), proposals)
+    totals = counts.sum(axis=1)
+    share = counts[at] / totals
+    rest = np.maximum(1, totals - counts[at])
+    return _invert(counts, share, rest, proposals, p)
+
+
+def _correct_rows(d: np.ndarray, proposals: np.ndarray, p) -> np.ndarray:
+    """:func:`bias_correct_distribution` of every row of ``d[N, K]``."""
+    mass = d[np.arange(proposals.size), proposals]
+    return _invert(d, mass, 1.0 - mass, proposals, p)
+
+
+def _blend_rows(d: np.ndarray, t: TransitionMatrix, mu: float) -> np.ndarray:
+    """:func:`blend_with_class_distribution` of every row of ``d[N, K]``."""
+    if not 0.0 <= mu <= 1.0:
+        raise ValueError("mu must lie in [0, 1]")
+    if t.num_classes != d.shape[1]:
+        raise ValueError(
+            f"matrix has {t.num_classes} classes, distribution has {d.shape[1]}"
+        )
+    top = np.argmax(d, axis=1)
+    return _validated_rows(mu * d + (1.0 - mu) * t.rows[top])
 
 
 def bias_correct(
@@ -107,8 +139,8 @@ def bias_correct(
     proposal = _check_proposal(a.num_classes, proposal)
     if a.total < 1:
         raise ValueError("need at least one annotation")
-    share, rest = a[proposal] / a.total, max(1, a.total - a[proposal])
-    return _invert(a.counts, share, rest, proposal, p)
+    rows = _correct_counts(a.counts[None], np.array([proposal]), p)
+    return LabelDistribution(rows[0])
 
 
 def bias_correct_distribution(
@@ -120,33 +152,26 @@ def bias_correct_distribution(
     shares; used when the quantity to repair is no longer a raw tally.
     """
     proposal = _check_proposal(d.num_classes, proposal)
-    return _invert(d.probs, d[proposal], 1.0 - d[proposal], proposal, p)
+    return LabelDistribution(_correct_rows(d.probs[None], np.array([proposal]), p)[0])
 
 
 def blend_with_class_distribution(
     d: LabelDistribution, t: TransitionMatrix, mu: float
 ) -> LabelDistribution:
     """Convex mix of a distribution with its top class's confusion row."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
-    if t.num_classes != d.num_classes:
-        raise ValueError(
-            f"matrix has {t.num_classes} classes, distribution has {d.num_classes}"
-        )
-    top = argmax_class(d)
-    return LabelDistribution(mu * d.probs + (1.0 - mu) * t.row(top))
+    return LabelDistribution(_blend_rows(d.probs[None], t, mu)[0])
 
 
 def repair_labels(
-    a: AnnotationSet,
-    proposal: int,
+    a,
+    proposal,
     t: TransitionMatrix,
     p: CorrectionParams,
     *,
     use_bc: bool = True,
     use_cb: bool = True,
     cb_input: str = "corrected",
-) -> LabelDistribution:
+):
     """Full label repair: bias correction composed with class blending.
 
     By default the counts are bias-corrected first and blending sees the
@@ -154,25 +179,45 @@ def repair_labels(
     ``cb_input="biased"`` blends the raw normalized counts instead and then
     runs the inversion on the blended distribution.  Either stage can be
     switched off; with both off the result is the plain normalized tally.
+
+    ``a`` is one :class:`AnnotationSet` with an int ``proposal``, repaired
+    into a :class:`LabelDistribution`; or integer counts ``[N, K]`` with
+    ``proposal[N]``, repaired row by row into ``float64[N, K]`` (every row
+    as a ``LabelDistribution`` would store it).
     """
     if cb_input not in _CB_INPUTS:
         raise ValueError(f"cb_input must be one of {_CB_INPUTS}, got {cb_input!r}")
-    proposal = _check_proposal(a.num_classes, proposal)
-    if a.total < 1:
+    if isinstance(a, AnnotationSet):
+        proposal = _check_proposal(a.num_classes, proposal)
+        rows = repair_labels(
+            a.counts[None],
+            np.array([proposal]),
+            t,
+            p,
+            use_bc=use_bc,
+            use_cb=use_cb,
+            cb_input=cb_input,
+        )
+        return LabelDistribution(rows[0])
+    counts = np.asarray(a)
+    proposals = np.asarray(proposal, dtype=np.int64)
+    _check_proposals(counts.shape[1], proposals)
+    totals = counts.sum(axis=1)
+    if (totals < 1).any():
         raise ValueError("need at least one annotation")
     if cb_input == "corrected":
         if use_bc:
-            d = bias_correct(a, proposal, p)
+            d = _correct_counts(counts, proposals, p)
         else:
-            d = LabelDistribution(a.counts / a.total)
+            d = _validated_rows(counts / totals[:, None])
         if use_cb:
-            d = blend_with_class_distribution(d, t, p.mu)
+            d = _blend_rows(d, t, p.mu)
         return d
-    d = LabelDistribution(a.counts / a.total)
+    d = _validated_rows(counts / totals[:, None])
     if use_cb:
-        d = blend_with_class_distribution(d, t, p.mu)
+        d = _blend_rows(d, t, p.mu)
     if use_bc:
-        d = bias_correct_distribution(d, proposal, p)
+        d = _correct_rows(d, proposals, p)
     return d
 
 

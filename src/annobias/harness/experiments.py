@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,18 +26,23 @@ from ..calibration import (
     estimate_delta_banded,
     two_proposal_candidates,
 )
-from ..core import argmax_class, soft_gt_from_annotations
+from ..core import LabelDistribution, _validated_rows, argmax_class
 from ..correction import CorrectionParams, estimate_transition_matrix, repair_labels
 from ..metrics import (
     BudgetParams,
+    _compare,
+    _kl_rows,
     aggregate_scores,
     bin_index,
     budget,
-    compare_strategies,
-    kl_divergence,
 )
-from ..rng import substream
-from ..simulation import SimulationParams, Strategy, simulate_strategy_set
+from ..rng import substream, uniforms
+from ..simulation import (
+    SimulationParams,
+    Strategy,
+    _uniforms_per_row,
+    simulate_counts,
+)
 from .config import ConfigError, ExperimentConfig
 from .formats import (
     FormatError,
@@ -79,14 +84,19 @@ class Report:
     budget: list = field(default_factory=list)
 
 
-def _l1_distance(gt, est) -> float:
-    return float(np.abs(gt.probs - est.probs).sum())
+def _l1_rows(g: np.ndarray, est: np.ndarray) -> np.ndarray:
+    return np.abs(g - est).sum(axis=1)
 
 
-_METRIC_FUNCS = {
-    "kl": kl_divergence,
-    "l1": _l1_distance,
+# metric name -> score of every row pair (true rows, estimated rows)
+_METRIC_ROWS = {
+    "kl": _kl_rows,
+    "l1": _l1_rows,
 }
+
+# images simulated, repaired and scored together; bounds the temporaries
+_BLOCK_ROWS = 128
+_VARIANTS = ("raw", "repaired")
 
 
 def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
@@ -180,42 +190,18 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
         **manifest_extra,
     )
 
-    results = []
-    values = {}  # (n, variant, metric) -> list of floats, insertion-ordered
-    params = {n: replace(sim, repetitions=n) for n in cfg.annotations}
-    for img in dataset.images:
-        proposal = img.proposal if img.proposal is not None else argmax_class(img.gt)
-        for n in cfg.annotations:
-            rng = substream(cfg.seed, "simulate", n, img.image_id)
-            try:
-                counts = simulate_strategy_set(
-                    strategy, img.gt, proposal, params[n], rng
-                )
-                raw = soft_gt_from_annotations(counts)
-                repaired = repair_labels(
-                    counts,
-                    proposal,
-                    matrix,
-                    corr,
-                    use_bc=cfg.use_bc,
-                    use_cb=cfg.use_cb,
-                    cb_input=cfg.cb_input,
-                )
-            except Exception as e:
-                raise RuntimeError(f"image {img.image_id!r}: {e}") from e
-            for variant, dist in (("raw", raw), ("repaired", repaired)):
-                for metric in cfg.metrics:
-                    value = _METRIC_FUNCS[metric](img.gt, dist)
-                    results.append(
-                        {
-                            "image_id": img.image_id,
-                            "annotations": n,
-                            "variant": variant,
-                            "metric": metric,
-                            "value": value,
-                        }
-                    )
-                    values.setdefault((n, variant, metric), []).append(value)
+    values = _score_cells(cfg, strategy, sim, corr, matrix, dataset)
+    results = [
+        {
+            "image_id": img.image_id,
+            "annotations": n,
+            "variant": variant,
+            "metric": metric,
+            "value": vals[i],
+        }
+        for i, img in enumerate(dataset.images)
+        for (n, variant, metric), vals in values.items()
+    ]
 
     aggregates = []
     for (n, variant, metric), vals in values.items():
@@ -248,6 +234,72 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     return Report(manifest, results, aggregates, budget_rows)
 
 
+def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
+    """Scores of every (image, count) cell: ``(n, variant, metric) -> values``.
+
+    Keys are in the order a row-by-row loop meets them; each list is in
+    image order.  Every count is simulated in blocks of ``_BLOCK_ROWS``
+    images whose streams, keyed (seed, "simulate", n, image id), are
+    derived together.  A failing cell raises ``RuntimeError`` naming the
+    image of the first failing cell in image-major order.
+    """
+    ids = [img.image_id for img in dataset.images]
+    probs = np.array([img.gt.probs for img in dataset.images]).reshape(
+        len(ids), dataset.num_classes
+    )
+    proposals = np.array(
+        [
+            argmax_class(img.gt) if img.proposal is None else img.proposal
+            for img in dataset.images
+        ],
+        dtype=np.int64,
+    )
+
+    def cells(i, j, n, draws):
+        counts = simulate_counts(strategy, probs[i:j], proposals[i:j], n, sim, draws)
+        raw = _validated_rows(counts / n)
+        repaired = repair_labels(
+            counts,
+            proposals[i:j],
+            matrix,
+            corr,
+            use_bc=cfg.use_bc,
+            use_cb=cfg.use_cb,
+            cb_input=cfg.cb_input,
+        )
+        return raw, repaired
+
+    scores = {
+        (n, variant, metric): []
+        for n in cfg.annotations
+        for variant in _VARIANTS
+        for metric in cfg.metrics
+    }
+    failures = []  # (image row, count index, error) of failing cells
+    for c, n in enumerate(cfg.annotations):
+        m = _uniforms_per_row(strategy, n)
+        for lo in range(0, len(ids), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(ids))
+            keys = (("simulate", n, image_id) for image_id in ids[lo:hi])
+            draws = uniforms(cfg.seed, keys, m) if m else np.empty((hi - lo, 0))
+            dists, failure = _by_block(
+                lambda i, j: cells(i, j, n, draws[i - lo : j - lo]), lo, hi
+            )
+            if failure is not None:
+                failures.append((failure[0], c, failure[1]))
+                continue
+            for variant, dist in zip(_VARIANTS, dists):
+                for metric in cfg.metrics:
+                    value = _METRIC_ROWS[metric](probs[lo:hi], dist)
+                    scores[(n, variant, metric)].append(value)
+    if failures:
+        row, _, error = min(failures, key=lambda f: f[:2])
+        raise RuntimeError(f"image {ids[row]!r}: {error}") from error
+    return {
+        key: np.concatenate(parts).tolist() for key, parts in scores.items() if parts
+    }
+
+
 def run_strategy_comparison(
     cfg: ExperimentConfig,
     log_path,
@@ -264,10 +316,7 @@ def run_strategy_comparison(
     if not records:
         raise FormatError(f"{log_path}: log contains no entries")
     sim = _effective_sim_params(cfg, dataset.meta)
-    rows = [
-        compare_strategies(records, strategy, sim, repetitions, seed=cfg.seed)
-        for strategy in Strategy
-    ]
+    rows = _compare(records, tuple(Strategy), sim, repetitions, cfg.seed)
     return sorted(rows, key=lambda r: (r.mean, r.strategy.name))
 
 
@@ -383,22 +432,48 @@ def run_label_correction(
         upper_bound=corr_upper_bound,
         mu=dataset.meta.mu if mu is None else mu,
     )
+    images = dataset.images
+
+    def rows(i, j):
+        return repair_labels(
+            np.array([img.annotations.counts for img in images[i:j]]),
+            np.array([img.proposal for img in images[i:j]]),
+            matrix,
+            corr,
+            use_bc=use_bc,
+            use_cb=use_cb,
+            cb_input=cb_input,
+        )
+
     out = []
-    for img in dataset.images:
-        try:
-            repaired = repair_labels(
-                img.annotations,
-                img.proposal,
-                matrix,
-                corr,
-                use_bc=use_bc,
-                use_cb=use_cb,
-                cb_input=cb_input,
-            )
-        except Exception as e:
-            raise RuntimeError(f"image {img.image_id!r}: {e}") from e
-        out.append((img.image_id, repaired))
+    for lo in range(0, len(images), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(images))
+        repaired, failure = _by_block(rows, lo, hi)
+        if failure is not None:
+            row, error = failure
+            raise RuntimeError(f"image {images[row].image_id!r}: {error}") from error
+        for img, probs in zip(images[lo:hi], repaired):
+            out.append((img.image_id, LabelDistribution(probs)))
     return out
+
+
+def _by_block(compute, lo: int, hi: int):
+    """``(compute(lo, hi), None)``, or ``(None, (row, error))`` if that raises.
+
+    ``compute(i, j)`` works on rows ``i:j``.  After a failure every row is
+    run on its own, and the first row that fails names the error, as a
+    row-by-row loop would have reported it.
+    """
+    try:
+        return compute(lo, hi), None
+    except Exception as error:
+        block_error = error
+    for row in range(lo, hi):
+        try:
+            compute(row, row + 1)
+        except Exception as error:
+            return None, (row, error)
+    raise block_error
 
 
 def _write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:

@@ -24,7 +24,7 @@ from .simulation import (
     _MAX_UNIFORMS_PER_DRAW,
     SimulationParams,
     Strategy,
-    simulate_with_strategy,
+    simulate_counts,
 )
 
 __all__ = [
@@ -124,11 +124,26 @@ def kl_divergence(
         )
     if epsilon <= 0.0:
         raise ValueError("epsilon must be > 0")
-    g = gt.probs
-    e = np.maximum(est.probs, epsilon)
-    mask = g > 0.0
-    value = float(np.sum(g[mask] * np.log(g[mask] / e[mask])))
-    return max(value, 0.0)
+    return float(_kl_rows(gt.probs[None], est.probs[None], epsilon)[0])
+
+
+def _kl_rows(g: np.ndarray, est: np.ndarray, epsilon: float = 1e-8) -> np.ndarray:
+    """:func:`kl_divergence` of every row pair of ``g[N, K]`` and ``est[N, K]``.
+
+    Each row sums its supported classes as one contiguous vector, as the
+    one-row form does, so rows with the same number of supported classes
+    are summed together.
+    """
+    e = np.maximum(est, epsilon)
+    support = g > 0.0
+    widths = support.sum(axis=1)
+    out = np.empty(len(g))
+    for width in np.flatnonzero(np.bincount(widths)):
+        rows = np.flatnonzero(widths == width)[:, None]
+        cols = np.nonzero(support[rows[:, 0]])[1].reshape(rows.size, width)
+        gs = g[rows, cols]
+        out[rows[:, 0]] = (gs * np.log(gs / e[rows, cols])).sum(axis=1)
+    return np.maximum(out, 0.0)
 
 
 def bin_index(p: float) -> int:
@@ -199,26 +214,6 @@ class StrategyComparison:
     std: float
 
 
-class _RowReader:
-    """Stands in for a generator: ``random()`` returns a row's next uniform.
-
-    Reading past the end of the row raises instead of reusing a value.
-    """
-
-    __slots__ = ("_row", "_next")
-
-    def __init__(self, row):
-        self._row = row
-        self._next = 0
-
-    def random(self) -> float:
-        i = self._next
-        if i == len(self._row):
-            raise RuntimeError(f"a draw read more than {i} pre-drawn uniforms")
-        self._next = i + 1
-        return self._row[i]
-
-
 def compare_strategies(
     records: Sequence[AcceptanceRecord],
     strategy: Strategy,
@@ -240,6 +235,15 @@ def compare_strategies(
     in one batch (:func:`~annobias.rng.uniforms`), bit-identical to one
     :func:`~annobias.rng.substream` per draw.
     """
+    return _compare(records, (strategy,), p, repetitions, seed)[0]
+
+
+def _compare(records, strategies, p, repetitions, seed) -> list:
+    """:func:`compare_strategies` of each of ``strategies``, in order.
+
+    The streams do not depend on the strategy, so they are derived once,
+    and so is the real log's bin matrix.
+    """
     if not records:
         raise ValueError("need at least one record")
     if repetitions < 1:
@@ -257,25 +261,43 @@ def compare_strategies(
         for rep in range(repetitions)
         for image_id, ordinal in keyed
     )
-    draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW).reshape(
-        repetitions, len(records), _MAX_UNIFORMS_PER_DRAW
-    )
+    draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW)
 
-    sods = []
-    for rep_draws in draws:
-        simulated = []
-        for rec, row in zip(records, rep_draws.tolist()):
-            annotated = simulate_with_strategy(
-                strategy, rec.gt, rec.proposal, p, _RowReader(row)
-            )
-            simulated.append(
-                AcceptanceRecord(rec.image_id, rec.proposal, annotated, rec.gt)
-            )
-        sods.append(sod(m_real, build_bin_matrix(simulated), normalized=True))
+    n = len(records)
+    probs = np.stack([rec.gt.probs for rec in records])
+    proposals = np.array([rec.proposal for rec in records], dtype=np.int64)
+    # every repetition re-annotates every record once
+    rep_probs = np.tile(probs, (repetitions, 1))
+    rep_proposals = np.tile(proposals, repetitions)
+    annotated = [
+        simulate_counts(strategy, rep_probs, rep_proposals, 1, p, draws)
+        .argmax(axis=1)
+        .reshape(repetitions, n)
+        for strategy in strategies
+    ]
 
-    mean = statistics.mean(sods)
-    std = math.sqrt(statistics.mean((s - mean) ** 2 for s in sods))
-    return StrategyComparison(strategy, tuple(sods), float(mean), float(std))
+    # bin of each (record, class) the matrices need, from the scalar law
+    k = probs.shape[1]
+    first = k * np.arange(n)
+    used = np.zeros(n * k, dtype=bool)
+    for classes in [proposals, *annotated]:
+        used[first + classes] = True
+    needed = np.flatnonzero(used)
+    bins = np.zeros(n * k, dtype=np.int64)
+    bins[needed] = [bin_index(v) for v in probs.ravel()[needed].tolist()]
+    row_bins = NUM_BINS * bins[first + proposals]
+
+    out = []
+    for strategy, classes in zip(strategies, annotated):
+        sods = []
+        for cells in row_bins + bins[first + classes]:
+            counts = np.bincount(cells, minlength=NUM_BINS * NUM_BINS)
+            m_sim = BinMatrix(counts.reshape(NUM_BINS, NUM_BINS))
+            sods.append(sod(m_real, m_sim, normalized=True))
+        mean = statistics.mean(sods)
+        std = math.sqrt(statistics.mean((s - mean) ** 2 for s in sods))
+        out.append(StrategyComparison(strategy, tuple(sods), float(mean), float(std)))
+    return out
 
 
 def aggregate_scores(values: Sequence[float], mode: str = "median") -> float:

@@ -122,7 +122,7 @@ def _chunk_uniforms(head: int, keys: list, m: int, cache: dict) -> np.ndarray:
     offsets = np.cumsum(lengths) - lengths
 
     out = np.empty((len(keys), m), dtype=np.float64)
-    for length in np.unique(lengths):
+    for length in np.flatnonzero(np.bincount(lengths)):
         rows = np.flatnonzero(lengths == length)
         block = entropy[offsets[rows, None] + np.arange(length)]
         out[rows] = _pcg64_uniforms(_seed_state(block), m)

@@ -20,7 +20,6 @@ from .core import (
     _check_proposal,
     _draw_class,
     _uniform_index,
-    argmax_class,
 )
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "simulate_annotation_set",
     "simulate_with_strategy",
     "simulate_strategy_set",
+    "simulate_counts",
 ]
 
 _REJECT_FALLBACKS = ("first", "random")
@@ -111,17 +111,28 @@ def acceptance_probability(
     zero, ``upper_bound`` when the proposal is certain.
     """
     proposal = _check_proposal(gt.num_classes, proposal)
-    return p.delta + (p.upper_bound - p.delta) * gt[proposal]
+    return float(_acceptance(gt.probs[None], np.array([proposal]), p)[0])
 
 
-def _other_class(num_classes: int, proposal: int, r):
+def _acceptance(probs: np.ndarray, classes: np.ndarray, p: SimulationParams):
+    """:func:`acceptance_probability` of ``classes[i]`` in row ``i`` of ``probs``."""
+    mass = probs[np.arange(classes.size), classes]
+    return p.delta + (p.upper_bound - p.delta) * mass
+
+
+def _other_class(num_classes: int, proposal, r):
     """Class uniform over all but ``proposal``, per uniform in ``r``."""
     j = _uniform_index(num_classes - 1, r)
     return j + (j >= proposal)
 
 
-def _rejected_class(probs: np.ndarray, proposal: int, fallback: str, r):
-    """Class of a rejected proposal, per uniform in ``r`` (float or array).
+def _rejected_class(probs: np.ndarray, proposal, fallback: str, r):
+    """Class of a rejected proposal, per uniform in ``r``.
+
+    ``probs`` is one distribution ``[K]`` with an int ``proposal`` and
+    ``r`` a float or an array of them, or rows ``[R, K]`` with
+    ``proposal[R]`` and one uniform per row in ``r[R]``; the result has
+    the shape of ``r``.
 
     Walks the cumulative ground-truth mass of the non-proposal classes and
     returns the first class whose cumulative mass reaches ``r`` times the
@@ -130,20 +141,24 @@ def _rejected_class(probs: np.ndarray, proposal: int, fallback: str, r):
     non-proposal class, ``"random"`` reuses ``r`` for a uniform pick among
     the non-proposal classes.
     """
-    k = probs.size
-    remainder = 1.0 - probs[proposal]
-    if remainder > 0.0:
-        masked = probs.copy()
-        masked[proposal] = 0.0
-        idx = np.searchsorted(np.cumsum(masked), r * remainder, side="left")
-        idx = idx + (idx == proposal)
-    else:
-        idx = np.full(np.shape(r), k)
+    r = np.asarray(r, dtype=np.float64)
+    k = probs.shape[-1]
+    if probs.ndim == 1:
+        rows = np.broadcast_to(probs, (r.size, k))
+        proposals = np.full(r.size, proposal)
+        return _rejected_class(rows, proposals, fallback, r.ravel()).reshape(r.shape)
+    at = (np.arange(proposal.size), proposal)
+    remainder = 1.0 - probs[at]
+    masked = probs.copy()
+    masked[at] = 0.0
+    # entries below the target in a nondecreasing cumsum: searchsorted "left"
+    idx = (masked.cumsum(axis=1) < (r * remainder)[:, None]).sum(axis=1)
+    idx = np.where(remainder > 0.0, idx + (idx == proposal), k)
     overflow = idx >= k
-    if not np.count_nonzero(overflow):
+    if not overflow.any():
         return idx
     if fallback == "first":
-        spare = 0 if proposal != 0 else 1
+        spare = (proposal == 0).astype(np.int64)
     else:
         spare = _other_class(k, proposal, r)
     return np.where(overflow, spare, idx)
@@ -169,15 +184,164 @@ def simulate_annotation_set(
     return simulate_strategy_set(Strategy.ACCEPT_GT, gt, proposal, p, rng)
 
 
-def _most_likely_remaining(gt: LabelDistribution, proposal: int) -> int:
-    masked = np.array(gt.probs, copy=True)
-    masked[proposal] = -1.0
-    return int(np.argmax(masked))
+def _most_likely_remaining(probs: np.ndarray, proposals: np.ndarray) -> np.ndarray:
+    """Heaviest class of each row of ``probs`` other than its proposal."""
+    masked = probs.copy()
+    masked[np.arange(proposals.size), proposals] = -1.0
+    return masked.argmax(axis=1)
 
 
-# Uniforms one simulate_with_strategy call reads at most: the acceptance
-# draw, the second acceptance of the two-stage strategies, the final draw.
+# Uniforms one draw reads at most: the acceptance draw, the second
+# acceptance of the two-stage strategies, the final draw.
 _MAX_UNIFORMS_PER_DRAW = 3
+
+
+def _uniforms_per_row(strategy: Strategy, n: int) -> int:
+    """Most uniforms one row of :func:`simulate_counts` reads for ``n`` draws."""
+    if strategy is Strategy.LIKELY:
+        return 0
+    if strategy is Strategy.ACCEPT_GT:
+        return 2 * n
+    if strategy in (Strategy.TWO_ACCEPT_GT, Strategy.TWO_ACCEPT_RANDOM):
+        return _MAX_UNIFORMS_PER_DRAW * n
+    return n
+
+
+class _Rows:
+    """Pre-drawn uniforms ``u[N, m]``, each row read front to back.
+
+    Reading past the end of a row raises instead of reusing a value.
+    """
+
+    def __init__(self, u: np.ndarray):
+        self._u = u
+        self._next = np.zeros(len(u), dtype=np.int64)
+
+    def take(self, counts) -> np.ndarray:
+        """The next ``counts[i]`` uniforms of every row ``i``, row after row."""
+        counts = np.broadcast_to(np.asarray(counts, dtype=np.int64), self._next.shape)
+        end = self._next + counts
+        m = self._u.shape[1]
+        if end.size and end.max() > m:
+            raise RuntimeError(f"a row read more than {m} pre-drawn uniforms")
+        rows = np.repeat(np.arange(counts.size), counts)
+        cols = np.arange(rows.size) - np.repeat(
+            np.cumsum(counts) - counts - self._next, counts
+        )
+        self._next = end
+        return self._u[rows, cols]
+
+
+class _Stream:
+    """One row read from a generator: ``random()`` for one uniform."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def take(self, counts) -> np.ndarray:
+        c = int(counts[0] if isinstance(counts, np.ndarray) else counts)
+        if c == 1:
+            return np.array([self._rng.random()])
+        return self._rng.random(c) if c else np.empty(0)
+
+
+def simulate_counts(
+    strategy: Strategy,
+    probs: np.ndarray,
+    proposals: np.ndarray,
+    n: int,
+    p: SimulationParams,
+    source,
+) -> np.ndarray:
+    """Tally ``n`` annotations of every row of ``probs[N, K]`` as ``int64[N, K]``.
+
+    ``proposals[N]`` are the rows' proposed classes, already in range.
+    ``source`` supplies the uniforms: a generator (anything with
+    ``random()``) for a single row, or ``float64[N, m]`` pre-drawn rows.
+    A row reads at most ``_uniforms_per_row(strategy, n)`` of them (``2n``
+    for ``ACCEPT_GT``, ``3n`` for the two-stage strategies, ``n`` for the
+    others, none for ``LIKELY``) in the order :func:`_draw_classes` gives;
+    reading past the end of a pre-drawn row raises ``RuntimeError``.
+    """
+    classes = _draw_classes(strategy, probs, proposals, n, p, source)
+    rows, k = classes.shape[0], np.shape(probs)[1]
+    offsets = k * np.arange(rows)[:, None]
+    return np.bincount((classes + offsets).ravel(), minlength=rows * k).reshape(rows, k)
+
+
+def _draw_classes(strategy, probs, proposals, n, p, source) -> np.ndarray:
+    """The ``n`` annotated classes of every row, as ``int64[N, n]``.
+
+    The one implementation of every strategy's stage order.  Each row
+    reads its own uniforms in the same order: ``ACCEPT_GT`` reads ``n``
+    acceptance uniforms, then one per rejection in draw order; the
+    two-stage strategies read draw by draw (acceptance, the second
+    acceptance when offered, the final draw when both reject); ``RANDOM``,
+    ``GT`` and ``ACCEPT_LIKELY`` read ``n``; ``LIKELY`` reads none.  A
+    generator is read one ``random()`` at a time, or ``random(c)`` for
+    ``c > 1`` uniforms at once.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    proposals = np.asarray(proposals, dtype=np.int64)
+    rows, k = probs.shape
+    take = (_Stream(source) if hasattr(source, "random") else _Rows(source)).take
+    if strategy is Strategy.LIKELY:
+        return probs.argmax(axis=1)[:, None].repeat(n, axis=1)
+    if strategy is Strategy.RANDOM:
+        return _uniform_index(k, take(n)).reshape(rows, n)
+    if strategy is Strategy.GT:
+        return _draw_class(probs.repeat(n, axis=0), take(n)).reshape(rows, n)
+    if not isinstance(strategy, Strategy):
+        raise ValueError(f"unknown strategy {strategy!r}")
+    if strategy not in (Strategy.ACCEPT_GT, Strategy.ACCEPT_LIKELY):
+        return _two_stage(strategy, probs, proposals, n, p, take)
+    rejected = take(n).reshape(rows, n) > _acceptance(probs, proposals, p)[:, None]
+    if strategy is Strategy.ACCEPT_LIKELY:
+        other = _most_likely_remaining(probs, proposals)
+        return np.where(rejected, other[:, None], proposals[:, None])
+    classes = proposals[:, None].repeat(n, axis=1)
+    if rejected.any():
+        who = rejected.nonzero()[0]
+        r = take(rejected.sum(axis=1))
+        classes[rejected] = _rejected_class(
+            probs[who], proposals[who], p.reject_fallback, r
+        )
+    return classes
+
+
+def _two_stage(strategy, probs, proposals, n, p, take) -> np.ndarray:
+    """Classes ``[N, n]`` of the two-stage strategies, drawn draw by draw.
+
+    The proposal is offered first; on rejection the most likely class is
+    offered (when it differs from the proposal); when that is rejected
+    too, the final draw picks among the non-proposal classes.
+    """
+    rows, k = probs.shape
+    accept = _acceptance(probs, proposals, p)
+    likely = probs.argmax(axis=1)
+    accept_likely = _acceptance(probs, likely, p)
+    offer = likely != proposals
+    classes = np.empty((rows, n), dtype=np.int64)
+    for j in range(n):
+        rejected = take(1) > accept
+        classes[:, j] = proposals
+        if not rejected.any():
+            continue
+        ask = rejected & offer
+        took = np.zeros(rows, dtype=bool)
+        took[ask] = take(ask) <= accept_likely[ask]
+        classes[took, j] = likely[took]
+        final = rejected & ~took
+        if not final.any():
+            continue
+        r = take(final)
+        if strategy is Strategy.TWO_ACCEPT_RANDOM:
+            classes[final, j] = _other_class(k, proposals[final], r)
+        else:
+            classes[final, j] = _rejected_class(
+                probs[final], proposals[final], p.reject_fallback, r
+            )
+    return classes
 
 
 def simulate_with_strategy(
@@ -192,30 +356,7 @@ def simulate_with_strategy(
     Only ``rng.random()`` is called, at most ``_MAX_UNIFORMS_PER_DRAW`` times.
     """
     proposal = _check_proposal(gt.num_classes, proposal)
-    if strategy is Strategy.RANDOM:
-        return int(_uniform_index(gt.num_classes, rng.random()))
-    if strategy is Strategy.GT:
-        return int(_draw_class(gt.probs, rng.random()))
-    if strategy is Strategy.LIKELY:
-        return argmax_class(gt)
-    if not isinstance(strategy, Strategy):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    # the four remaining strategies start with the acceptance draw
-    if rng.random() <= acceptance_probability(gt, proposal, p):
-        return proposal
-    if strategy is Strategy.ACCEPT_LIKELY:
-        return _most_likely_remaining(gt, proposal)
-    if strategy is not Strategy.ACCEPT_GT:
-        # two-stage: offer the most likely class before the final draw
-        likely = argmax_class(gt)
-        if likely != proposal and rng.random() <= acceptance_probability(
-            gt, likely, p
-        ):
-            return likely
-    r = rng.random()
-    if strategy is Strategy.TWO_ACCEPT_RANDOM:
-        return int(_other_class(gt.num_classes, proposal, r))
-    return int(_rejected_class(gt.probs, proposal, p.reject_fallback, r))
+    return int(_draw_classes(strategy, gt.probs[None], [proposal], 1, p, rng)[0, 0])
 
 
 def simulate_strategy_set(
@@ -227,33 +368,11 @@ def simulate_strategy_set(
 ) -> AnnotationSet:
     """Tally ``p.repetitions`` annotations under any strategy.
 
-    The common strategies have vectorized paths; the two-stage acceptance
-    strategies fall back to the scalar draw loop.  ``ACCEPT_GT`` draws all
-    acceptance uniforms first, then one uniform per rejection.
+    One row of :func:`simulate_counts`: ``ACCEPT_GT`` draws all
+    acceptance uniforms first, then one uniform per rejection; the
+    two-stage strategies draw annotation by annotation.
     """
     proposal = _check_proposal(gt.num_classes, proposal)
     n = p.repetitions
-    k = gt.num_classes
-    if strategy is Strategy.LIKELY:
-        classes = np.full(n, argmax_class(gt))
-    elif strategy is Strategy.RANDOM:
-        classes = _uniform_index(k, rng.random(n))
-    elif strategy is Strategy.GT:
-        classes = _draw_class(gt.probs, rng.random(n))
-    elif strategy in (Strategy.ACCEPT_GT, Strategy.ACCEPT_LIKELY):
-        rejected = rng.random(n) > acceptance_probability(gt, proposal, p)
-        classes = np.full(n, proposal)
-        if strategy is Strategy.ACCEPT_LIKELY:
-            classes[rejected] = _most_likely_remaining(gt, proposal)
-        elif rejected.any():
-            r = rng.random(int(rejected.sum()))
-            classes[rejected] = _rejected_class(
-                gt.probs, proposal, p.reject_fallback, r
-            )
-    else:
-        classes = np.fromiter(
-            (simulate_with_strategy(strategy, gt, proposal, p, rng) for _ in range(n)),
-            dtype=np.int64,
-            count=n,
-        )
-    return AnnotationSet(np.bincount(classes, minlength=k), n)
+    counts = simulate_counts(strategy, gt.probs[None], [proposal], n, p, rng)
+    return AnnotationSet(counts[0], n)

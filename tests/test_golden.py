@@ -16,12 +16,15 @@ import pytest
 
 from annobias import DatasetMeta, LabelDistribution, Strategy
 from annobias.harness.cli import main
+from annobias.core import AnnotationSet
 from annobias.harness.formats import (
     Dataset,
     ImageRecord,
     LogEntry,
+    TransitionMatrixFile,
     save_acceptance_log,
     save_dataset,
+    save_transition_matrix,
 )
 
 SEED = 20230521
@@ -122,6 +125,73 @@ SIMULATE = {
 
 COMPARE = "69b355e702d6a9dbef96e47794d0f2a1bc1e7fcf56c05f9c480576fa477b9e88"
 
+# The repair flags other than the default, under the one-stage and a
+# two-stage acceptance strategy: (results.csv, aggregates.csv).
+REPAIR_FLAGS = {
+    "no-bc": ("--no-bc",),
+    "no-cb": ("--no-cb",),
+    "cb-biased": ("--cb-input", "biased"),
+}
+SIMULATE_REPAIR = {
+    ("ACCEPT_GT", "no-bc"): (
+        "60e5db48a0e716562a3c34affbecfafa265fa54d09c71802ef472c6fa358a558",
+        "629b2a9a4d919d247d2bc0f5ca79472ceff28a43558130097bd2e422122f5ae8",
+    ),
+    ("ACCEPT_GT", "no-cb"): (
+        "dee75c839fd2737cc79c599447c71e688ce3349beac566aeed0f9ee1995cda06",
+        "6c7a49cede48ae582bf2f27e8a4d39a62eb027d02eafcf9750de22f9e2df997a",
+    ),
+    ("ACCEPT_GT", "cb-biased"): (
+        "7b0c93c4bf3e30bf7f63baa47365654388da884670f4a697c53e697329de8120",
+        "e524c72e7fae3d8794528d9f2c6dcf0b753c5c4bf378948be2485ec04e44740b",
+    ),
+    ("TWO_ACCEPT_GT", "no-bc"): (
+        "9b2753c46d5ff7248511be62217278039e24ee0d8562453acf3acbcb1bb8199b",
+        "8b79a9dc17287bd7a096c39153f297c6bd212ff6a756fd529ab9ed0207987879",
+    ),
+    ("TWO_ACCEPT_GT", "no-cb"): (
+        "5f135b5504523a1c8d1a75802f1f16b56db5b1ac1cdb4603d67dffbed32b33f5",
+        "36d0ab426d370b7d3aa3fe9414c0ddb74e567a3c8c2c555d1d88d35274e16940",
+    ),
+    ("TWO_ACCEPT_GT", "cb-biased"): (
+        "aa01ddbd0f4680fc605fb482d1ad33ac92ea8635384bf979d4352dae7747dcb5",
+        "78e4b4a2981c7576d91e3ccfab38723e13a73086d7da8695cfaa1de1fdfe0f64",
+    ),
+}
+
+# Raw annotations and explicit proposals for `correct`, on the same soft
+# labels.  Image 3 annotates only its proposal, image 4 never does, and
+# the totals differ from image to image.
+ANNOTATIONS = (
+    (0, 0, 0, 1, 2),
+    (2, 1, 1),
+    (0, 1, 2, 3),
+    (0, 0, 0, 0, 0, 0),
+    (2, 3, 2, 3),
+    (3,),
+    (3, 3, 2),
+    (0, 3, 3, 3, 1),
+    (1, 1, 0, 1, 1, 1, 1, 2, 1, 1),
+    (2, 2),
+)
+CORRECT_PROPOSALS = (0, 2, 0, 0, 1, 3, 3, 0, 1, 2)
+MATRIX = (
+    (0.70, 0.10, 0.10, 0.10),
+    (0.05, 0.80, 0.10, 0.05),
+    (0.10, 0.20, 0.60, 0.10),
+    (0.00, 0.10, 0.20, 0.70),
+)
+CORRECT = {
+    "default": "afa66ccd5bfc37e975b975550d1836a7edf0009edb51826dc8a53d4c70756daa",
+    "no-bc": "36d0753b9f9165b4bcfc6bcc1698c6b7e097dd7f410392c816e24d7488d587f6",
+    "no-cb": "7c585d86ba9ce372e2d4cb9b6e55ae95ade15a4cafcb1258df980ce3bb322d8d",
+    "cb-biased": "5f72025fa739fc81377ac6ae230b708023d08d69efee8e3188ad4ab4aa108cd2",
+}
+# the default flags with the matrix estimated from the soft labels
+CORRECT_ESTIMATED = (
+    "49311053aebad120f523eda908511fac99b964db212faf0833ea42347c6d3edc"
+)
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -138,6 +208,21 @@ def golden_dir(tmp_path_factory):
     save_dataset(Dataset(meta, images), root / "ds")
     entries = [LogEntry(f"img{i}", rho, ann) for i, rho, ann in LOG]
     save_acceptance_log(entries, root / "log.csv", meta)
+
+    annotated = tuple(
+        ImageRecord(
+            f"img{i}",
+            LabelDistribution(gt),
+            AnnotationSet.tally(classes, len(meta.class_names)),
+            classes,
+            proposal,
+        )
+        for i, (gt, classes, proposal) in enumerate(
+            zip(GTS, ANNOTATIONS, CORRECT_PROPOSALS)
+        )
+    )
+    save_dataset(Dataset(meta, annotated), root / "annotated")
+    save_transition_matrix(TransitionMatrixFile(MATRIX), root / "matrix.json")
     return root
 
 
@@ -159,6 +244,52 @@ def test_simulate_digests(golden_dir, tmp_path, strategy, fallback):
     assert main(argv) == 0
     got = (_sha256(out / "results.csv"), _sha256(out / "aggregates.csv"))
     assert got == SIMULATE[(strategy, fallback)]
+
+
+@pytest.mark.parametrize("flags", sorted(REPAIR_FLAGS))
+@pytest.mark.parametrize("strategy", ["ACCEPT_GT", "TWO_ACCEPT_GT"])
+def test_simulate_repair_flag_digests(golden_dir, tmp_path, strategy, flags):
+    out = tmp_path / "out"
+    argv = [
+        "simulate",
+        "--dataset", str(golden_dir / "ds"),
+        "--seed", str(SEED),
+        "--strategy", strategy,
+        "--annotations", "1,3,10",
+        "--sim-upper-bound", "0.6",
+        "--metrics", "kl,l1",
+        *REPAIR_FLAGS[flags],
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    got = (_sha256(out / "results.csv"), _sha256(out / "aggregates.csv"))
+    assert got == SIMULATE_REPAIR[(strategy, flags)]
+
+
+@pytest.mark.parametrize("flags", sorted(CORRECT))
+def test_correct_digests(golden_dir, tmp_path, flags):
+    out = tmp_path / "repaired.csv"
+    argv = [
+        "correct",
+        "--dataset", str(golden_dir / "annotated"),
+        "--transitions", str(golden_dir / "matrix.json"),
+        *REPAIR_FLAGS.get(flags, ()),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert _sha256(out) == CORRECT[flags]
+
+
+def test_correct_estimated_matrix_digest(golden_dir, tmp_path):
+    out = tmp_path / "repaired.csv"
+    argv = [
+        "correct",
+        "--dataset", str(golden_dir / "annotated"),
+        "--seed", str(SEED),
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert _sha256(out) == CORRECT_ESTIMATED
 
 
 def test_compare_strategies_digest(golden_dir, tmp_path):
