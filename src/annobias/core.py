@@ -127,17 +127,16 @@ class AnnotationSet:
             if not np.array_equal(rounded, np.asarray(c, dtype=np.float64)):
                 raise ValueError("counts must be integers")
             c = rounded.astype(np.int64)
-        c = c.astype(np.int64)
-        if np.any(c < 0):
+        c = c.astype(np.int64, copy=False)
+        if (c < 0).any():
             raise ValueError("negative annotation count")
-        if int(c.sum()) != int(self.total):
-            raise ValueError(
-                f"counts sum to {int(c.sum())} but total is {self.total}"
-            )
-        if int(self.total) < 0:
+        total, summed = int(self.total), int(c.sum())
+        if summed != total:
+            raise ValueError(f"counts sum to {summed} but total is {self.total}")
+        if total < 0:
             raise ValueError("total must be non-negative")
         object.__setattr__(self, "counts", _readonly(c))
-        object.__setattr__(self, "total", int(self.total))
+        object.__setattr__(self, "total", total)
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "AnnotationSet":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -36,13 +36,8 @@ from ..metrics import (
     bin_index,
     budget,
 )
-from ..rng import substream, uniforms
-from ..simulation import (
-    SimulationParams,
-    Strategy,
-    _uniforms_per_row,
-    simulate_counts,
-)
+from ..rng import substream
+from ..simulation import SimulationParams, Strategy, simulate_strategy_set
 from .config import ConfigError, ExperimentConfig
 from .formats import (
     FormatError,
@@ -94,7 +89,7 @@ _METRIC_ROWS = {
     "l1": _l1_rows,
 }
 
-# images simulated, repaired and scored together; bounds the temporaries
+# images validated, repaired and scored together; bounds the temporaries
 _BLOCK_ROWS = 128
 _VARIANTS = ("raw", "repaired")
 
@@ -238,25 +233,32 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     """Scores of every (image, count) cell: ``(n, variant, metric) -> values``.
 
     Keys are in the order a row-by-row loop meets them; each list is in
-    image order.  Every count is simulated in blocks of ``_BLOCK_ROWS``
-    images whose streams, keyed (seed, "simulate", n, image id), are
-    derived together.  A failing cell raises ``RuntimeError`` naming the
-    image of the first failing cell in image-major order.
+    image order.  Each cell is drawn from its own stream, keyed (seed,
+    "simulate", n, image id); the tallies of ``_BLOCK_ROWS`` images are
+    then validated, repaired and scored together.  A failing cell raises
+    ``RuntimeError`` naming the image of the first failing cell in
+    image-major order.
     """
-    ids = [img.image_id for img in dataset.images]
-    probs = np.array([img.gt.probs for img in dataset.images]).reshape(
-        len(ids), dataset.num_classes
+    images = dataset.images
+    probs = np.array([img.gt.probs for img in images]).reshape(
+        len(images), dataset.num_classes
     )
     proposals = np.array(
         [
             argmax_class(img.gt) if img.proposal is None else img.proposal
-            for img in dataset.images
+            for img in images
         ],
         dtype=np.int64,
     )
+    reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
 
-    def cells(i, j, n, draws):
-        counts = simulate_counts(strategy, probs[i:j], proposals[i:j], n, sim, draws)
+    def cells(i, j, n, params):
+        counts = np.empty((j - i, dataset.num_classes), dtype=np.int64)
+        for row in range(i, j):
+            img = images[row]
+            rng = substream(cfg.seed, "simulate", n, img.image_id) if reads else None
+            tally = simulate_strategy_set(strategy, img.gt, proposals[row], params, rng)
+            counts[row - i] = tally.counts
         raw = _validated_rows(counts / n)
         repaired = repair_labels(
             counts,
@@ -277,14 +279,10 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     }
     failures = []  # (image row, count index, error) of failing cells
     for c, n in enumerate(cfg.annotations):
-        m = _uniforms_per_row(strategy, n)
-        for lo in range(0, len(ids), _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, len(ids))
-            keys = (("simulate", n, image_id) for image_id in ids[lo:hi])
-            draws = uniforms(cfg.seed, keys, m) if m else np.empty((hi - lo, 0))
-            dists, failure = _by_block(
-                lambda i, j: cells(i, j, n, draws[i - lo : j - lo]), lo, hi
-            )
+        params = replace(sim, repetitions=n)
+        for lo in range(0, len(images), _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, len(images))
+            dists, failure = _by_block(lambda i, j: cells(i, j, n, params), lo, hi)
             if failure is not None:
                 failures.append((failure[0], c, failure[1]))
                 continue
@@ -294,7 +292,7 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
                     scores[(n, variant, metric)].append(value)
     if failures:
         row, _, error = min(failures, key=lambda f: f[:2])
-        raise RuntimeError(f"image {ids[row]!r}: {error}") from error
+        raise RuntimeError(f"image {images[row].image_id!r}: {error}") from error
     return {
         key: np.concatenate(parts).tolist() for key, parts in scores.items() if parts
     }

@@ -15,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import hashlib
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -27,6 +28,8 @@ _MASK32 = (1 << 32) - 1
 _CACHED_KEY_TYPES = frozenset((str, bytes, int))
 # rows derived per batch by uniforms(); bounds its temporary arrays
 _CHUNK_ROWS = 2048
+# hashed str/bytes keys remembered across calls (image ids, purposes)
+_DIGEST_CACHE_SIZE = 4096
 
 # numpy.random.SeedSequence constants (pool of four uint32 words)
 _POOL_SIZE = 4
@@ -59,10 +62,7 @@ def key_words(key) -> tuple:
     if isinstance(key, str):
         key = key.encode("utf-8")
     if isinstance(key, (bytes, bytearray)):
-        digest = hashlib.sha256(bytes(key)).digest()
-        return tuple(
-            int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)
-        )
+        return _digest_words(bytes(key))
     if isinstance(key, (tuple, list)):
         words = []
         for part in key:
@@ -73,9 +73,10 @@ def key_words(key) -> tuple:
 
 def substream(seed: int, *keys) -> np.random.Generator:
     """Child generator for (seed, keys...), independent across distinct keys."""
-    entropy = [int(seed) & _MASK64]
+    words = [int(seed) & _MASK64]
     for key in keys:
-        entropy.extend(key_words(key))
+        words.extend(key_words(key))
+    entropy, _ = _entropy_words(words)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
@@ -111,14 +112,8 @@ def _chunk_uniforms(head: int, keys: list, m: int, cache: dict) -> np.ndarray:
                     cache[key] = found
             words.extend(found)
 
-    # numpy's entropy words: a 64-bit word below 2**32 (0 included) is one
-    # uint32, a larger one its low then high half; a little-endian uint64
-    # viewed as two uint32 is (low, high)
-    halves = np.array(words, dtype="<u8").view("<u4").reshape(-1, 2)
-    keep = halves != 0
-    keep[:, 0] = True
-    entropy = halves[keep]
-    lengths = np.add.reduceat(keep.sum(axis=1), starts)
+    entropy, sizes = _entropy_words(words)
+    lengths = np.add.reduceat(sizes, starts)
     offsets = np.cumsum(lengths) - lengths
 
     out = np.empty((len(keys), m), dtype=np.float64)
@@ -127,6 +122,27 @@ def _chunk_uniforms(head: int, keys: list, m: int, cache: dict) -> np.ndarray:
         block = entropy[offsets[rows, None] + np.arange(length)]
         out[rows] = _pcg64_uniforms(_seed_state(block), m)
     return out
+
+
+@lru_cache(maxsize=_DIGEST_CACHE_SIZE)
+def _digest_words(key: bytes) -> tuple:
+    """SHA-256 of ``key`` as four little-endian 64-bit words."""
+    digest = hashlib.sha256(key).digest()
+    return tuple(int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8))
+
+
+def _entropy_words(words: list):
+    """numpy's uint32 entropy words for 64-bit ``words``, and how many per word.
+
+    A word below 2**32 (0 included) is one uint32, a larger one its low
+    then high half, as ``SeedSequence`` splits a list of ints; passing the
+    split array gives the same state without the per-int conversion.
+    """
+    # a little-endian uint64 viewed as two uint32 is (low, high)
+    halves = np.array(words, dtype="<u8").view("<u4").reshape(-1, 2)
+    keep = halves != 0
+    keep[:, 0] = True
+    return halves[keep], keep.sum(axis=1)
 
 
 def _seed_state(entropy: np.ndarray) -> np.ndarray:

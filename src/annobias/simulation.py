@@ -196,17 +196,6 @@ def _most_likely_remaining(probs: np.ndarray, proposals: np.ndarray) -> np.ndarr
 _MAX_UNIFORMS_PER_DRAW = 3
 
 
-def _uniforms_per_row(strategy: Strategy, n: int) -> int:
-    """Most uniforms one row of :func:`simulate_counts` reads for ``n`` draws."""
-    if strategy is Strategy.LIKELY:
-        return 0
-    if strategy is Strategy.ACCEPT_GT:
-        return 2 * n
-    if strategy in (Strategy.TWO_ACCEPT_GT, Strategy.TWO_ACCEPT_RANDOM):
-        return _MAX_UNIFORMS_PER_DRAW * n
-    return n
-
-
 class _Rows:
     """Pre-drawn uniforms ``u[N, m]``, each row read front to back.
 
@@ -258,10 +247,10 @@ def simulate_counts(
     ``proposals[N]`` are the rows' proposed classes, already in range.
     ``source`` supplies the uniforms: a generator (anything with
     ``random()``) for a single row, or ``float64[N, m]`` pre-drawn rows.
-    A row reads at most ``_uniforms_per_row(strategy, n)`` of them (``2n``
-    for ``ACCEPT_GT``, ``3n`` for the two-stage strategies, ``n`` for the
-    others, none for ``LIKELY``) in the order :func:`_draw_classes` gives;
-    reading past the end of a pre-drawn row raises ``RuntimeError``.
+    A row reads at most ``2n`` of them for ``ACCEPT_GT``, ``3n`` for the
+    two-stage strategies, ``n`` for the others and none for ``LIKELY``, in
+    the order :func:`_draw_classes` gives; reading past the end of a
+    pre-drawn row raises ``RuntimeError``.
     """
     classes = _draw_classes(strategy, probs, proposals, n, p, source)
     rows, k = classes.shape[0], np.shape(probs)[1]
@@ -284,9 +273,9 @@ def _draw_classes(strategy, probs, proposals, n, p, source) -> np.ndarray:
     probs = np.asarray(probs, dtype=np.float64)
     proposals = np.asarray(proposals, dtype=np.int64)
     rows, k = probs.shape
-    take = (_Stream(source) if hasattr(source, "random") else _Rows(source)).take
     if strategy is Strategy.LIKELY:
         return probs.argmax(axis=1)[:, None].repeat(n, axis=1)
+    take = (_Stream(source) if hasattr(source, "random") else _Rows(source)).take
     if strategy is Strategy.RANDOM:
         return _uniform_index(k, take(n)).reshape(rows, n)
     if strategy is Strategy.GT:

@@ -7,6 +7,7 @@ per-cell reference loop written out here.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,9 +45,20 @@ from annobias.harness.formats import (
 )
 from annobias.metrics import aggregate_scores
 from annobias.rng import uniforms
-from annobias.simulation import _uniforms_per_row, simulate_counts
+from annobias.simulation import _MAX_UNIFORMS_PER_DRAW, simulate_counts
 
 _NEAR_ONE = float(np.nextafter(1.0, 0.0))
+
+
+def _uniforms_per_row(strategy, n):
+    """Most uniforms one engine row reads for ``n`` draws."""
+    if strategy is Strategy.LIKELY:
+        return 0
+    if strategy is Strategy.ACCEPT_GT:
+        return 2 * n
+    if strategy in (Strategy.TWO_ACCEPT_GT, Strategy.TWO_ACCEPT_RANDOM):
+        return _MAX_UNIFORMS_PER_DRAW * n
+    return n
 
 
 @st.composite
@@ -170,7 +182,6 @@ def test_likely_reads_no_uniforms():
         Strategy.LIKELY, probs, [0], 4, SimulationParams(delta=0.1), np.empty((1, 0))
     )
     np.testing.assert_array_equal(counts, [[0, 4, 0]])
-    assert _uniforms_per_row(Strategy.LIKELY, 4) == 0
 
 
 @pytest.mark.parametrize(
@@ -361,21 +372,20 @@ def test_first_failing_cell_in_image_major_order_names_the_error(tmp_path, monke
     path = _mixed_dataset(tmp_path)
     gts = [img.gt.probs for img in experiments.load_dataset(path).images]
     broken = {(5, 1): "negative", (2, 3): "sum", (2, 20): "negative"}
-    real = experiments.simulate_counts
+    real = experiments.simulate_strategy_set
 
-    def corrupt(strategy, probs, proposals, n, p, source):
-        counts = real(strategy, probs, proposals, n, p, source)
-        for row, gt in enumerate(probs):
-            image = next(i for i, g in enumerate(gts) if np.array_equal(g, gt))
-            kind = broken.get((image, n))
-            if kind == "negative":
-                counts[row, 0] = -1
-            elif kind == "sum":
-                counts[row] = 0
-                counts[row, :2] = n  # the raw row sums to 2
-        return counts
+    def corrupt(strategy, gt, proposal, p, rng):
+        counts = real(strategy, gt, proposal, p, rng).counts.copy()
+        image = next(i for i, g in enumerate(gts) if np.array_equal(g, gt.probs))
+        kind = broken.get((image, p.repetitions))
+        if kind == "negative":
+            counts[0] = -1
+        elif kind == "sum":
+            counts[:] = 0
+            counts[:2] = p.repetitions  # the raw row sums to 2
+        return SimpleNamespace(counts=counts)
 
-    monkeypatch.setattr(experiments, "simulate_counts", corrupt)
+    monkeypatch.setattr(experiments, "simulate_strategy_set", corrupt)
     cfg = ExperimentConfig(seed=3, dataset=str(path), annotations=(1, 3, 20))
     message = r"^image 'img_0002': probabilities sum to 2.0, not normalizable$"
     with pytest.raises(RuntimeError, match=message):

@@ -56,6 +56,18 @@ def test_uniforms_match_substream_bit_for_bit(seed, rows, m):
     assert np.array_equal(got, _reference(seed, rows, m))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=_SEEDS, row=st.lists(_KEYS, max_size=4))
+def test_substream_seeds_from_the_key_words_as_ints(seed, row):
+    # substream hands SeedSequence pre-split uint32 words; the oracle hands
+    # it the 64-bit words as Python ints and lets numpy split them
+    words = [int(seed) & (2**64 - 1)]
+    for key in row:
+        words.extend(rng.key_words(key))
+    oracle = np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    assert np.array_equal(substream(seed, *row).random(5), oracle.random(5))
+
+
 def test_mixed_entropy_lengths_in_one_call(monkeypatch):
     # small chunks: rows of one length straddle chunk boundaries
     monkeypatch.setattr(rng, "_CHUNK_ROWS", 3)
