@@ -234,10 +234,10 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
 
     Keys are in the order a row-by-row loop meets them; each list is in
     image order.  Each cell is drawn from its own stream, keyed (seed,
-    "simulate", n, image id); the tallies of ``_BLOCK_ROWS`` images are
-    then validated, repaired and scored together.  A failing cell raises
-    ``RuntimeError`` naming the image of the first failing cell in
-    image-major order.
+    "simulate", n, image id); blocks of ``_BLOCK_ROWS`` images are taken
+    in turn, and within a block every count's tallies are validated,
+    repaired and scored together.  A failing cell raises ``RuntimeError``
+    naming the image of the first failing cell in image-major order.
     """
     images = dataset.images
     probs = np.array([img.gt.probs for img in images]).reshape(
@@ -278,11 +278,13 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
         for metric in cfg.metrics
     }
     failures = []  # (image row, count index, error) of failing cells
-    for c, n in enumerate(cfg.annotations):
-        params = replace(sim, repetitions=n)
-        for lo in range(0, len(images), _BLOCK_ROWS):
-            hi = min(lo + _BLOCK_ROWS, len(images))
-            dists, failure = _by_block(lambda i, j: cells(i, j, n, params), lo, hi)
+    by_count = [replace(sim, repetitions=n) for n in cfg.annotations]
+    for lo in range(0, len(images), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(images))
+        for c, n in enumerate(cfg.annotations):
+            dists, failure = _by_block(
+                lambda i, j: cells(i, j, n, by_count[c]), lo, hi
+            )
             if failure is not None:
                 failures.append((failure[0], c, failure[1]))
                 continue
@@ -290,6 +292,8 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
                 for metric in cfg.metrics:
                     value = _METRIC_ROWS[metric](probs[lo:hi], dist)
                     scores[(n, variant, metric)].append(value)
+        if failures:  # later blocks hold only later images
+            break
     if failures:
         row, _, error = min(failures, key=lambda f: f[:2])
         raise RuntimeError(f"image {images[row].image_id!r}: {error}") from error

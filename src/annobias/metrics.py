@@ -24,7 +24,7 @@ from .simulation import (
     _MAX_UNIFORMS_PER_DRAW,
     SimulationParams,
     Strategy,
-    simulate_counts,
+    _simulate_counts,
 )
 
 __all__ = [
@@ -264,27 +264,31 @@ def _compare(records, strategies, p, repetitions, seed) -> list:
     draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW)
 
     n = len(records)
-    probs = np.stack([rec.gt.probs for rec in records])
+    sizes = np.array([rec.gt.num_classes for rec in records])
+    flat = np.concatenate([rec.gt.probs for rec in records])
+    first = np.cumsum(sizes) - sizes  # where each record's classes start in flat
     proposals = np.array([rec.proposal for rec in records], dtype=np.int64)
-    # every repetition re-annotates every record once
-    rep_probs = np.tile(probs, (repetitions, 1))
-    rep_proposals = np.tile(proposals, repetitions)
-    annotated = [
-        simulate_counts(strategy, rep_probs, rep_proposals, 1, p, draws)
-        .argmax(axis=1)
-        .reshape(repetitions, n)
-        for strategy in strategies
-    ]
+    # every repetition re-annotates every record once; records with the
+    # same class count run through the engine together
+    annotated = [np.empty((repetitions, n), dtype=np.int64) for _ in strategies]
+    for k in np.flatnonzero(np.bincount(sizes)):
+        group = np.flatnonzero(sizes == k)
+        probs = np.tile(flat[first[group, None] + np.arange(k)], (repetitions, 1))
+        group_proposals = np.tile(proposals[group], repetitions)
+        group_draws = draws[(n * np.arange(repetitions)[:, None] + group).ravel()]
+        for classes, strategy in zip(annotated, strategies):
+            counts = _simulate_counts(
+                strategy, probs, group_proposals, 1, p, group_draws
+            )
+            classes[:, group] = counts.argmax(axis=1).reshape(repetitions, -1)
 
     # bin of each (record, class) the matrices need, from the scalar law
-    k = probs.shape[1]
-    first = k * np.arange(n)
-    used = np.zeros(n * k, dtype=bool)
+    used = np.zeros(flat.size, dtype=bool)
     for classes in [proposals, *annotated]:
         used[first + classes] = True
     needed = np.flatnonzero(used)
-    bins = np.zeros(n * k, dtype=np.int64)
-    bins[needed] = [bin_index(v) for v in probs.ravel()[needed].tolist()]
+    bins = np.zeros(flat.size, dtype=np.int64)
+    bins[needed] = [bin_index(v) for v in flat[needed].tolist()]
     row_bins = NUM_BINS * bins[first + proposals]
 
     out = []

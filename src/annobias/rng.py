@@ -15,7 +15,6 @@ bit for bit.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -28,8 +27,6 @@ _MASK32 = (1 << 32) - 1
 _CACHED_KEY_TYPES = frozenset((str, bytes, int))
 # rows derived per batch by uniforms(); bounds its temporary arrays
 _CHUNK_ROWS = 2048
-# hashed str/bytes keys remembered across calls (image ids, purposes)
-_DIGEST_CACHE_SIZE = 4096
 
 # numpy.random.SeedSequence constants (pool of four uint32 words)
 _POOL_SIZE = 4
@@ -62,7 +59,10 @@ def key_words(key) -> tuple:
     if isinstance(key, str):
         key = key.encode("utf-8")
     if isinstance(key, (bytes, bytearray)):
-        return _digest_words(bytes(key))
+        digest = hashlib.sha256(bytes(key)).digest()
+        return tuple(
+            int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)
+        )
     if isinstance(key, (tuple, list)):
         words = []
         for part in key:
@@ -122,13 +122,6 @@ def _chunk_uniforms(head: int, keys: list, m: int, cache: dict) -> np.ndarray:
         block = entropy[offsets[rows, None] + np.arange(length)]
         out[rows] = _pcg64_uniforms(_seed_state(block), m)
     return out
-
-
-@lru_cache(maxsize=_DIGEST_CACHE_SIZE)
-def _digest_words(key: bytes) -> tuple:
-    """SHA-256 of ``key`` as four little-endian 64-bit words."""
-    digest = hashlib.sha256(key).digest()
-    return tuple(int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8))
 
 
 def _entropy_words(words: list):

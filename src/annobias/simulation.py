@@ -30,7 +30,6 @@ __all__ = [
     "simulate_annotation_set",
     "simulate_with_strategy",
     "simulate_strategy_set",
-    "simulate_counts",
 ]
 
 _REJECT_FALLBACKS = ("first", "random")
@@ -234,7 +233,7 @@ class _Stream:
         return self._rng.random(c) if c else np.empty(0)
 
 
-def simulate_counts(
+def _simulate_counts(
     strategy: Strategy,
     probs: np.ndarray,
     proposals: np.ndarray,
@@ -299,36 +298,42 @@ def _draw_classes(strategy, probs, proposals, n, p, source) -> np.ndarray:
 
 
 def _two_stage(strategy, probs, proposals, n, p, take) -> np.ndarray:
-    """Classes ``[N, n]`` of the two-stage strategies, drawn draw by draw.
+    """Classes ``[N, n]`` of the two-stage strategies, read draw by draw.
 
     The proposal is offered first; on rejection the most likely class is
     offered (when it differs from the proposal); when that is rejected
-    too, the final draw picks among the non-proposal classes.
+    too, the final draw picks among the non-proposal classes.  Only the
+    reads follow the draws one by one; the final classes are computed
+    afterwards from their uniforms, all in one call.
     """
     rows, k = probs.shape
     accept = _acceptance(probs, proposals, p)
     likely = probs.argmax(axis=1)
     accept_likely = _acceptance(probs, likely, p)
     offer = likely != proposals
-    classes = np.empty((rows, n), dtype=np.int64)
+    took = np.zeros((rows, n), dtype=bool)  # the most likely class accepted
+    final = np.zeros((rows, n), dtype=bool)  # both offers rejected
+    r = np.zeros((rows, n))  # uniform of each final draw
+    # count_nonzero: a C call, where ndarray.any() goes through Python
     for j in range(n):
         rejected = take(1) > accept
-        classes[:, j] = proposals
-        if not rejected.any():
+        if not np.count_nonzero(rejected):
             continue
         ask = rejected & offer
-        took = np.zeros(rows, dtype=bool)
-        took[ask] = take(ask) <= accept_likely[ask]
-        classes[took, j] = likely[took]
-        final = rejected & ~took
-        if not final.any():
-            continue
-        r = take(final)
+        if np.count_nonzero(ask):
+            took[ask, j] = take(ask) <= accept_likely[ask]
+        last = rejected & ~took[:, j]
+        if np.count_nonzero(last):
+            final[:, j] = last
+            r[last, j] = take(last)
+    classes = np.where(took, likely[:, None], proposals[:, None])
+    if final.any():
+        who = final.nonzero()[0]
         if strategy is Strategy.TWO_ACCEPT_RANDOM:
-            classes[final, j] = _other_class(k, proposals[final], r)
+            classes[final] = _other_class(k, proposals[who], r[final])
         else:
-            classes[final, j] = _rejected_class(
-                probs[final], proposals[final], p.reject_fallback, r
+            classes[final] = _rejected_class(
+                probs[who], proposals[who], p.reject_fallback, r[final]
             )
     return classes
 
@@ -357,11 +362,11 @@ def simulate_strategy_set(
 ) -> AnnotationSet:
     """Tally ``p.repetitions`` annotations under any strategy.
 
-    One row of :func:`simulate_counts`: ``ACCEPT_GT`` draws all
+    One row of :func:`_simulate_counts`: ``ACCEPT_GT`` draws all
     acceptance uniforms first, then one uniform per rejection; the
     two-stage strategies draw annotation by annotation.
     """
     proposal = _check_proposal(gt.num_classes, proposal)
     n = p.repetitions
-    counts = simulate_counts(strategy, gt.probs[None], [proposal], n, p, rng)
+    counts = _simulate_counts(strategy, gt.probs[None], [proposal], n, p, rng)
     return AnnotationSet(counts[0], n)

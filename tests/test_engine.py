@@ -45,7 +45,13 @@ from annobias.harness.formats import (
 )
 from annobias.metrics import aggregate_scores
 from annobias.rng import uniforms
-from annobias.simulation import _MAX_UNIFORMS_PER_DRAW, simulate_counts
+from annobias.core import _draw_class, _uniform_index
+from annobias.simulation import (
+    _MAX_UNIFORMS_PER_DRAW,
+    _other_class,
+    _rejected_class,
+    _simulate_counts,
+)
 
 _NEAR_ONE = float(np.nextafter(1.0, 0.0))
 
@@ -124,7 +130,7 @@ def test_engine_rows_match_per_image_streams(rows, strategy, fallback, n, seed, 
     ids = [f"im{i}" for i in range(len(probs))]
     m = _uniforms_per_row(strategy, n)
     draws = uniforms(seed, [("simulate", n, i) for i in ids], m)
-    got = simulate_counts(strategy, probs, proposals, n, p, draws)
+    got = _simulate_counts(strategy, probs, proposals, n, p, draws)
     for row, image_id in enumerate(ids):
         want = simulate_strategy_set(
             strategy,
@@ -134,6 +140,72 @@ def test_engine_rows_match_per_image_streams(rows, strategy, fallback, n, seed, 
             substream(seed, "simulate", n, image_id),
         )
         np.testing.assert_array_equal(got[row], want.counts)
+
+
+def _reference_classes(strategy, probs, proposal, p, n, rng):
+    """The ``n`` classes of one image, each strategy's stage order written out.
+
+    Draw by draw with scalar ``rng.random()`` reads; only the class laws
+    (rejection walk, uniform index, inverse CDF) are the package's own.
+    """
+    k = probs.size
+
+    def accepts(c):
+        return rng.random() <= p.delta + (p.upper_bound - p.delta) * probs[c]
+
+    def rejected():
+        return int(_rejected_class(probs, proposal, p.reject_fallback, rng.random()))
+
+    if strategy is Strategy.LIKELY:
+        return [int(np.argmax(probs))] * n
+    if strategy is Strategy.RANDOM:
+        return [int(_uniform_index(k, rng.random())) for _ in range(n)]
+    if strategy is Strategy.GT:
+        return [int(_draw_class(probs, rng.random())) for _ in range(n)]
+    if strategy is Strategy.ACCEPT_GT:
+        kept = [accepts(proposal) for _ in range(n)]  # all acceptances first
+        return [proposal if keep else rejected() for keep in kept]
+    if strategy is Strategy.ACCEPT_LIKELY:
+        masked = probs.copy()
+        masked[proposal] = -1.0
+        other = int(np.argmax(masked))
+        return [proposal if accepts(proposal) else other for _ in range(n)]
+    likely = int(np.argmax(probs))
+    classes = []
+    for _ in range(n):
+        if accepts(proposal):
+            classes.append(proposal)
+        elif likely != proposal and accepts(likely):
+            classes.append(likely)
+        elif strategy is Strategy.TWO_ACCEPT_RANDOM:
+            classes.append(int(_other_class(k, proposal, rng.random())))
+        else:
+            classes.append(rejected())
+    return classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=_rows(),
+    strategy=st.sampled_from(list(Strategy)),
+    fallback=st.sampled_from(["first", "random"]),
+    n=st.integers(1, 30),
+    seed=st.integers(0, 2**64 - 1),
+    delta=st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_one_row_tallies_follow_the_written_out_stage_order(
+    rows, strategy, fallback, n, seed, delta
+):
+    probs, proposals = rows
+    p = SimulationParams(delta, 0.6, n, fallback)
+    for row in range(len(probs)):
+        gt = LabelDistribution(probs[row])
+        mine, theirs = substream(seed, row), substream(seed, row)
+        got = simulate_strategy_set(strategy, gt, proposals[row], p, mine)
+        want = _reference_classes(strategy, gt.probs, proposals[row], p, n, theirs)
+        tally = np.bincount(want, minlength=gt.num_classes)
+        np.testing.assert_array_equal(got.counts, tally)
+        assert mine.random() == theirs.random()  # both read as many uniforms
 
 
 @settings(max_examples=150, deadline=None)
@@ -157,7 +229,7 @@ def test_engine_rows_match_one_row_calls_on_edge_uniforms(
     )
     draws = np.array(draws).reshape(len(probs), m)
     p = SimulationParams(0.1, 0.6, n, fallback)
-    got = simulate_counts(strategy, probs, proposals, n, p, draws)
+    got = _simulate_counts(strategy, probs, proposals, n, p, draws)
     for row in range(len(probs)):
         gt = LabelDistribution(probs[row])
         want = simulate_strategy_set(
@@ -173,12 +245,12 @@ def test_engine_raises_when_a_row_is_read_past_its_end():
     p = SimulationParams(delta=0.0)
     draws = np.full((2, 3), 0.5)
     with pytest.raises(RuntimeError, match="read more than 3 pre-drawn uniforms"):
-        simulate_counts(Strategy.ACCEPT_GT, probs, [0, 0], 2, p, draws)
+        _simulate_counts(Strategy.ACCEPT_GT, probs, [0, 0], 2, p, draws)
 
 
 def test_likely_reads_no_uniforms():
     probs = np.array([[0.2, 0.5, 0.3]])
-    counts = simulate_counts(
+    counts = _simulate_counts(
         Strategy.LIKELY, probs, [0], 4, SimulationParams(delta=0.1), np.empty((1, 0))
     )
     np.testing.assert_array_equal(counts, [[0, 4, 0]])

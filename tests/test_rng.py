@@ -139,6 +139,21 @@ def test_compare_strategies_matches_per_draw_streams(strategy, fallback):
     )
 
 
+@pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.name)
+def test_compare_strategies_takes_records_of_different_class_counts(strategy):
+    gen = substream(9, "mixed-class-counts")
+    records = []
+    for i in range(30):
+        k = 2 + i % 3
+        gt = LabelDistribution(gen.dirichlet(np.ones(k)))
+        proposal, annotated = int(gen.random() * k), int(gen.random() * k)
+        records.append(AcceptanceRecord(f"im{i % 7}", proposal, annotated, gt))
+    p = SimulationParams(delta=0.1)
+    got = compare_strategies(records, strategy, p, 2, seed=4)
+    want = _per_draw_compare(records, strategy, p, 2, 4)
+    assert (got.sods, got.mean, got.std) == want
+
+
 def test_compare_strategies_raises_when_a_draw_overreads_its_row(monkeypatch):
     # zero proposal mass and zero offset: the acceptance draw rejects, so
     # ACCEPT_GT needs a second uniform for the rejected class
