@@ -263,41 +263,44 @@ def _compare(records, strategies, p, repetitions, seed) -> list:
     )
     draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW)
 
-    n = len(records)
-    sizes = np.array([rec.gt.num_classes for rec in records])
-    flat = np.concatenate([rec.gt.probs for rec in records])
-    first = np.cumsum(sizes) - sizes  # where each record's classes start in flat
-    proposals = np.array([rec.proposal for rec in records], dtype=np.int64)
     # every repetition re-annotates every record once; records with the
     # same class count run through the engine together
-    annotated = [np.empty((repetitions, n), dtype=np.int64) for _ in strategies]
+    n = len(records)
+    sizes = np.array([rec.gt.num_classes for rec in records])
+    cells = np.zeros((len(strategies), repetitions, NUM_BINS * NUM_BINS), np.int64)
     for k in np.flatnonzero(np.bincount(sizes)):
         group = np.flatnonzero(sizes == k)
-        probs = np.tile(flat[first[group, None] + np.arange(k)], (repetitions, 1))
-        group_proposals = np.tile(proposals[group], repetitions)
-        group_draws = draws[(n * np.arange(repetitions)[:, None] + group).ravel()]
-        for classes, strategy in zip(annotated, strategies):
-            counts = _simulate_counts(
-                strategy, probs, group_proposals, 1, p, group_draws
-            )
-            classes[:, group] = counts.argmax(axis=1).reshape(repetitions, -1)
+        probs = np.stack([records[i].gt.probs for i in group])
+        proposals = np.array([records[i].proposal for i in group], dtype=np.int64)
+        rep_probs = np.tile(probs, (repetitions, 1))
+        rep_proposals = np.tile(proposals, repetitions)
+        rep_draws = draws[(n * np.arange(repetitions)[:, None] + group).ravel()]
+        annotated = [
+            _simulate_counts(strategy, rep_probs, rep_proposals, 1, p, rep_draws)
+            .argmax(axis=1)
+            .reshape(repetitions, group.size)
+            for strategy in strategies
+        ]
 
-    # bin of each (record, class) the matrices need, from the scalar law
-    used = np.zeros(flat.size, dtype=bool)
-    for classes in [proposals, *annotated]:
-        used[first + classes] = True
-    needed = np.flatnonzero(used)
-    bins = np.zeros(flat.size, dtype=np.int64)
-    bins[needed] = [bin_index(v) for v in flat[needed].tolist()]
-    row_bins = NUM_BINS * bins[first + proposals]
+        # bin of each (record, class) the matrices need, from the scalar law
+        first = k * np.arange(group.size)
+        used = np.zeros(probs.size, dtype=bool)
+        for classes in [proposals, *annotated]:
+            used[first + classes] = True
+        needed = np.flatnonzero(used)
+        bins = np.zeros(probs.size, dtype=np.int64)
+        bins[needed] = [bin_index(v) for v in probs.ravel()[needed].tolist()]
+        row_bins = NUM_BINS * bins[first + proposals]
+        for counts, classes in zip(cells, annotated):
+            for rep, c in enumerate(row_bins + bins[first + classes]):
+                counts[rep] += np.bincount(c, minlength=NUM_BINS * NUM_BINS)
 
     out = []
-    for strategy, classes in zip(strategies, annotated):
-        sods = []
-        for cells in row_bins + bins[first + classes]:
-            counts = np.bincount(cells, minlength=NUM_BINS * NUM_BINS)
-            m_sim = BinMatrix(counts.reshape(NUM_BINS, NUM_BINS))
-            sods.append(sod(m_real, m_sim, normalized=True))
+    for strategy, counts in zip(strategies, cells):
+        sods = [
+            sod(m_real, BinMatrix(c.reshape(NUM_BINS, NUM_BINS)), normalized=True)
+            for c in counts
+        ]
         mean = statistics.mean(sods)
         std = math.sqrt(statistics.mean((s - mean) ** 2 for s in sods))
         out.append(StrategyComparison(strategy, tuple(sods), float(mean), float(std)))
