@@ -44,6 +44,11 @@ __all__ = [
 _CB_INPUTS = ("corrected", "biased")
 
 
+def _check_cb_input(cb_input: str) -> None:
+    if cb_input not in _CB_INPUTS:
+        raise ValueError(f"cb_input must be one of {_CB_INPUTS}, got {cb_input!r}")
+
+
 class UncoveredClassError(ValueError):
     """A confusion-matrix row received no images during estimation."""
 
@@ -185,8 +190,7 @@ def repair_labels(
     ``proposal[N]``, repaired row by row into ``float64[N, K]`` (every row
     as a ``LabelDistribution`` would store it).
     """
-    if cb_input not in _CB_INPUTS:
-        raise ValueError(f"cb_input must be one of {_CB_INPUTS}, got {cb_input!r}")
+    _check_cb_input(cb_input)
     if isinstance(a, AnnotationSet):
         proposal = _check_proposal(a.num_classes, proposal)
         rows = repair_labels(

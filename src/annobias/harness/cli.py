@@ -17,12 +17,8 @@ diagnosed error (message on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .. import __version__
 from ..calibration import STUDY_RESCALE
@@ -37,6 +33,9 @@ from .experiments import (
 )
 from .formats import (
     TransitionMatrixFile,
+    _dump_json,
+    _gt_header,
+    _write_table,
     load_dataset,
     save_transition_matrix,
 )
@@ -215,14 +214,11 @@ def _config_flags(args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    data = {}
-    if args.config:
-        cfg_file = ExperimentConfig.from_file(args.config)
-        data = cfg_file.to_mapping()
+    data = ExperimentConfig.from_file(args.config).to_mapping() if args.config else {}
     data.update(_config_flags(args))
-    if "seed" not in data or data["seed"] is None:
+    if data.get("seed") is None:
         raise ConfigError("a seed is required (--seed or config file)")
-    if "dataset" not in data or not data.get("dataset"):
+    if not data.get("dataset"):
         raise ConfigError("a dataset is required (--dataset or config file)")
     data["out_dir"] = args.out
     cfg = ExperimentConfig.from_mapping(data, source="<command line>")
@@ -246,12 +242,8 @@ def _cmd_correct(args) -> int:
         cb_input=args.cb_input,
     )
     k = repaired[0][1].num_classes if repaired else 0
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id"] + [f"p_{i}" for i in range(k)])
-    for image_id, dist in repaired:
-        writer.writerow([image_id] + [repr(float(v)) for v in dist.probs])
-    Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+    rows = ([image_id] + dist.probs.tolist() for image_id, dist in repaired)
+    _write_table(args.out, _gt_header(k), rows)
     print(args.out)
     return 0
 
@@ -277,9 +269,7 @@ def _cmd_calibrate(args) -> int:
     print(f"estimate: {result['estimate']}")
     print(f"records: {result['n_records']}")
     if args.out:
-        Path(args.out).write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _dump_json(result, args.out)
         print(args.out)
     return 0
 
@@ -317,19 +307,10 @@ def _cmd_compare_strategies(args) -> int:
     for row in rows:
         print(f"{row.strategy.name:<18} {row.mean:>10.4f} {row.std:>10.4f}")
     if args.out:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["strategy", "mean_sod", "std_sod", "sods"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row.strategy.name,
-                    repr(row.mean),
-                    repr(row.std),
-                    ";".join(repr(s) for s in row.sods),
-                ]
-            )
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
+        table = [
+            [r.strategy.name, r.mean, r.std, ";".join(map(repr, r.sods))] for r in rows
+        ]
+        _write_table(args.out, ["strategy", "mean_sod", "std_sod", "sods"], table)
         print(args.out)
     return 0
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import json
+import os
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 from ..correction import _CB_INPUTS
 from ..simulation import _REJECT_FALLBACKS, Strategy
+from .formats import FormatError, _read_json
 
 __all__ = ["ConfigError", "ExperimentConfig", "KNOWN_METRICS"]
 
@@ -18,6 +19,57 @@ _AGGREGATIONS = ("median", "mean")
 
 class ConfigError(ValueError):
     """Configuration is malformed or references missing files."""
+
+
+def _path(value) -> str:
+    return str(os.fspath(value))
+
+
+def _flag(value) -> bool:
+    if value not in (True, False):
+        raise TypeError(value)
+    return bool(value)
+
+
+# field -> (conversion, what a value must be); list fields convert each item
+_CONVERSIONS = {
+    "seed": (int, "an integer"),
+    "dataset": (_path, "a path"),
+    "annotations": (int, "integers"),
+    "sim_delta": (float, "a number"),
+    "sim_upper_bound": (float, "a number"),
+    "mu": (float, "a number"),
+    "corr_delta": (float, "a number"),
+    "corr_upper_bound": (float, "a number"),
+    "use_bc": (_flag, "true or false"),
+    "use_cb": (_flag, "true or false"),
+    "transitions": (_path, "a path"),
+    "metrics": (lambda m: str(m).strip().lower(), "metric names"),
+    "speedups": (float, "numbers"),
+    "initial_supervision": (float, "a number"),
+    "pct_annotated": (float, "a number"),
+    "out_dir": (_path, "a path"),
+}
+_LISTS = ("annotations", "metrics", "speedups")
+_CHOICES = {
+    "cb_input": _CB_INPUTS,
+    "reject_fallback": _REJECT_FALLBACKS,
+    "aggregation": _AGGREGATIONS,
+}
+
+
+def _converted(name: str, value):
+    """``value`` converted for field ``name``; a wrong type raises ConfigError."""
+    convert, what = _CONVERSIONS[name]
+    try:
+        if name not in _LISTS:
+            return convert(value)
+        if isinstance(value, (str, bytes)):
+            raise TypeError(value)
+        return tuple(convert(v) for v in value)
+    except (TypeError, ValueError, OverflowError) as e:
+        kind = f"a list of {what}" if name in _LISTS else what
+        raise ConfigError(f"{name} must be {kind}, got {type(value).__name__}") from e
 
 
 @dataclass(frozen=True)
@@ -53,78 +105,50 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", int(self.seed))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
         if self.dataset is None or not str(self.dataset):
             raise ConfigError("dataset path is required")
-        if not Path(self.dataset).is_dir():
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in _CONVERSIONS and not (value is None and f.default is None):
+                object.__setattr__(self, f.name, _converted(f.name, value))
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must fit in 64 unsigned bits")
+        if not os.path.isdir(self.dataset):
             raise ConfigError(f"dataset directory not found: {self.dataset}")
-        object.__setattr__(self, "dataset", str(self.dataset))
         try:
             object.__setattr__(self, "strategy", Strategy.parse(self.strategy).name)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        annotations = tuple(int(n) for n in self.annotations)
-        if not annotations or any(n < 1 for n in annotations):
+        if not self.annotations or any(n < 1 for n in self.annotations):
             raise ConfigError("annotations must be a non-empty list of ints >= 1")
-        object.__setattr__(self, "annotations", annotations)
-        for name in ("sim_delta", "sim_upper_bound", "mu"):
-            v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, float(v))
-        if self.mu is not None and not 0.0 <= self.mu <= 1.0:
-            raise ConfigError("mu must lie in [0, 1]")
-        if not 0.0 <= float(self.corr_delta) < float(self.corr_upper_bound) < 1.0:
+        for name in ("mu", "initial_supervision", "pct_annotated"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0.0 <= self.corr_delta < self.corr_upper_bound < 1.0:
             raise ConfigError("need 0 <= corr_delta < corr_upper_bound < 1")
-        object.__setattr__(self, "corr_delta", float(self.corr_delta))
-        object.__setattr__(self, "corr_upper_bound", float(self.corr_upper_bound))
-        if self.cb_input not in _CB_INPUTS:
-            raise ConfigError(f"cb_input must be one of {_CB_INPUTS}")
-        if self.reject_fallback not in _REJECT_FALLBACKS:
-            raise ConfigError(f"reject_fallback must be one of {_REJECT_FALLBACKS}")
-        if self.transitions is not None:
-            if not Path(self.transitions).is_file():
-                raise ConfigError(f"transitions file not found: {self.transitions}")
-            object.__setattr__(self, "transitions", str(self.transitions))
-        metrics = tuple(str(m).strip().lower() for m in self.metrics)
-        unknown = set(metrics) - set(KNOWN_METRICS)
+        for name, choices in _CHOICES.items():
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}")
+        if self.transitions is not None and not os.path.isfile(self.transitions):
+            raise ConfigError(f"transitions file not found: {self.transitions}")
+        unknown = set(self.metrics) - set(KNOWN_METRICS)
         if unknown:
             raise ConfigError(
                 f"unknown metrics {sorted(unknown)} (known: {KNOWN_METRICS})"
             )
-        if len(set(metrics)) != len(metrics):
+        if len(set(self.metrics)) != len(self.metrics):
             raise ConfigError("duplicate metric names")
-        object.__setattr__(self, "metrics", metrics)
-        speedups = tuple(float(s) for s in self.speedups)
-        if any(s < 1.0 for s in speedups):
+        if any(s < 1.0 for s in self.speedups):
             raise ConfigError("every speedup must be >= 1")
-        object.__setattr__(self, "speedups", speedups)
-        if not 0.0 <= float(self.initial_supervision) <= 1.0:
-            raise ConfigError("initial_supervision must lie in [0, 1]")
-        if not 0.0 <= float(self.pct_annotated) <= 1.0:
-            raise ConfigError("pct_annotated must lie in [0, 1]")
-        object.__setattr__(
-            self, "initial_supervision", float(self.initial_supervision)
-        )
-        object.__setattr__(self, "pct_annotated", float(self.pct_annotated))
-        if self.aggregation not in _AGGREGATIONS:
-            raise ConfigError(f"aggregation must be one of {_AGGREGATIONS}")
-        if self.out_dir is not None:
-            object.__setattr__(self, "out_dir", str(self.out_dir))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         p = Path(path)
         try:
-            with open(p, encoding="utf-8") as f:
-                data = json.load(f)
-        except OSError as e:
-            raise ConfigError(f"{p}: cannot read: {e}") from e
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{p}:{e.lineno}: invalid JSON: {e.msg}") from e
-        if not isinstance(data, dict):
-            raise ConfigError(f"{p}: top level must be a JSON object")
+            data = _read_json(p)
+        except FormatError as e:
+            raise ConfigError(str(e)) from e
         return cls.from_mapping(data, source=str(p))
 
     @classmethod
@@ -137,14 +161,10 @@ class ExperimentConfig:
             raise ConfigError(f"{source}: missing required key 'seed'")
         if "dataset" not in data:
             raise ConfigError(f"{source}: missing required key 'dataset'")
-        kwargs = dict(data)
-        for key in ("annotations", "metrics", "speedups"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_mapping(self) -> dict:
         out = asdict(self)
-        for key in ("annotations", "metrics", "speedups"):
+        for key in _LISTS:
             out[key] = list(out[key])
         return out

@@ -10,11 +10,12 @@ manifest alone suffices to re-run the experiment.
 from __future__ import annotations
 
 import datetime
-import json
+import os
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +28,12 @@ from ..calibration import (
     two_proposal_candidates,
 )
 from ..core import LabelDistribution, _validated_rows, argmax_class
-from ..correction import CorrectionParams, estimate_transition_matrix, repair_labels
+from ..correction import (
+    CorrectionParams,
+    _check_cb_input,
+    estimate_transition_matrix,
+    repair_labels,
+)
 from ..metrics import (
     BudgetParams,
     _compare,
@@ -41,7 +47,9 @@ from ..simulation import SimulationParams, Strategy, simulate_strategy_set
 from .config import ConfigError, ExperimentConfig
 from .formats import (
     FormatError,
-    _fmt,
+    _dump_json,
+    _read_json,
+    _write_table,
     acceptance_records_from_log,
     load_acceptance_log,
     load_dataset,
@@ -67,6 +75,13 @@ RESULTS_NAME = "results.csv"
 AGGREGATES_NAME = "aggregates.csv"
 BUDGET_NAME = "budget.csv"
 MANIFEST_NAME = "manifest.json"
+
+# columns of each report table, in the order the tables are written
+_COLUMNS = {
+    RESULTS_NAME: ("image_id", "annotations", "variant", "metric", "value"),
+    AGGREGATES_NAME: ("annotations", "variant", "metric", "aggregate", "value"),
+    BUDGET_NAME: ("speedup", "annotations", "budget"),
+}
 
 
 @dataclass
@@ -162,29 +177,21 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     )
     strategy = Strategy.parse(cfg.strategy)
 
-    manifest_extra = {
-        "dataset_images": len(dataset.images),
-        "num_classes": dataset.num_classes,
-        "proposal_source": _proposal_source(dataset),
-        "effective_sim_delta": sim.delta,
-        "effective_sim_upper_bound": sim.upper_bound,
-        "effective_mu": mu,
-    }
-
-    if not cfg.metrics:
-        manifest = _manifest(
-            cfg, "simulate", transitions_source="unused", **manifest_extra
-        )
-        return Report(manifest)
-
-    matrix = _resolve_transitions(cfg.transitions, cfg.seed, dataset)
     manifest = _manifest(
         cfg,
         "simulate",
-        transitions_source=cfg.transitions or "estimated",
-        **manifest_extra,
+        dataset_images=len(dataset.images),
+        num_classes=dataset.num_classes,
+        proposal_source=_proposal_source(dataset),
+        effective_sim_delta=sim.delta,
+        effective_sim_upper_bound=sim.upper_bound,
+        effective_mu=mu,
+        transitions_source=cfg.transitions or "estimated" if cfg.metrics else "unused",
     )
+    if not cfg.metrics:
+        return Report(manifest)
 
+    matrix = _resolve_transitions(cfg.transitions, cfg.seed, dataset)
     values = _score_cells(cfg, strategy, sim, corr, matrix, dataset)
     results = [
         {
@@ -198,34 +205,28 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
         for (n, variant, metric), vals in values.items()
     ]
 
-    aggregates = []
-    for (n, variant, metric), vals in values.items():
-        for mode in ("median", "mean"):
-            aggregates.append(
-                {
-                    "annotations": n,
-                    "variant": variant,
-                    "metric": metric,
-                    "aggregate": mode,
-                    "value": aggregate_scores(vals, mode),
-                }
-            )
-
-    budget_rows = []
-    for speedup in cfg.speedups:
-        for n in cfg.annotations:
-            cost = budget(
-                BudgetParams(
-                    initial_supervision=cfg.initial_supervision,
-                    pct_annotated=cfg.pct_annotated,
-                    annotations_per_image=n,
-                    speedup=speedup,
-                )
-            )
-            budget_rows.append(
-                {"speedup": speedup, "annotations": n, "budget": cost}
-            )
-
+    aggregates = [
+        {
+            "annotations": n,
+            "variant": variant,
+            "metric": metric,
+            "aggregate": mode,
+            "value": aggregate_scores(vals, mode),
+        }
+        for (n, variant, metric), vals in values.items()
+        for mode in ("median", "mean")
+    ]
+    budget_rows = [
+        {
+            "speedup": speedup,
+            "annotations": n,
+            "budget": budget(
+                BudgetParams(cfg.initial_supervision, cfg.pct_annotated, n, speedup)
+            ),
+        }
+        for speedup in cfg.speedups
+        for n in cfg.annotations
+    ]
     return Report(manifest, results, aggregates, budget_rows)
 
 
@@ -416,6 +417,7 @@ def run_label_correction(
     ``transitions`` names a matrix file; ``None`` estimates one from the
     dataset's soft labels, which requires ``seed``.
     """
+    _check_cb_input(cb_input)
     dataset = load_dataset(dataset_path)
     missing_ann = [i.image_id for i in dataset.images if i.annotations is None]
     if missing_ann:
@@ -478,17 +480,6 @@ def _by_block(compute, lo: int, hi: int):
     raise block_error
 
 
-def _write_csv(path: Path, rows: Sequence[dict], columns: Sequence[str]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        cells = []
-        for col in columns:
-            v = row[col]
-            cells.append(_fmt(v) if isinstance(v, float) else str(v))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def emit_report(report: Report, out_dir) -> list:
     """Write the report's tables and manifest; returns the paths written.
 
@@ -497,35 +488,13 @@ def emit_report(report: Report, out_dir) -> list:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    manifest_path = out / MANIFEST_NAME
-    manifest_path.write_text(
-        json.dumps(report.manifest, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    written.append(manifest_path)
-
-    if report.results:
-        path = out / RESULTS_NAME
-        _write_csv(
-            path,
-            report.results,
-            ["image_id", "annotations", "variant", "metric", "value"],
-        )
-        written.append(path)
-    if report.aggregates:
-        path = out / AGGREGATES_NAME
-        _write_csv(
-            path,
-            report.aggregates,
-            ["annotations", "variant", "metric", "aggregate", "value"],
-        )
-        written.append(path)
-    if report.budget:
-        path = out / BUDGET_NAME
-        _write_csv(path, report.budget, ["speedup", "annotations", "budget"])
-        written.append(path)
+    written = [out / MANIFEST_NAME]
+    _dump_json(report.manifest, written[0])
+    tables = (report.results, report.aggregates, report.budget)
+    for (name, columns), rows in zip(_COLUMNS.items(), tables):
+        if rows:
+            _write_table(out / name, columns, map(itemgetter(*columns), rows))
+            written.append(out / name)
     return written
 
 
@@ -537,20 +506,17 @@ def run_from_manifest(manifest_path) -> Report:
     """
     p = Path(manifest_path)
     try:
-        with open(p, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except OSError as e:
-        raise ConfigError(f"{p}: cannot read: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{p}:{e.lineno}: invalid JSON: {e.msg}") from e
-    if not isinstance(manifest, dict) or "config" not in manifest:
+        manifest = _read_json(p)
+    except FormatError as e:
+        raise ConfigError(str(e)) from e
+    data = manifest.get("config")
+    if not isinstance(data, dict):
         raise ConfigError(f"{p}: not a run manifest (missing 'config')")
-    data = dict(manifest["config"])
     for key in ("dataset", "transitions"):
         value = data.get(key)
-        if value and not Path(value).is_absolute():
+        if isinstance(value, str) and value and not Path(value).is_absolute():
             candidate = p.parent / value
-            if candidate.exists():
+            if os.path.exists(candidate):
                 data[key] = str(candidate)
     cfg = ExperimentConfig.from_mapping(data, source=str(p))
     return run_simulation_experiment(cfg)

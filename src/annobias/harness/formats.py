@@ -11,10 +11,11 @@ A dataset is a directory:
   (``image_id, proposal_class, annotated_class``).
 
 When ``gt.csv`` is absent, soft labels are averaged from the raw
-annotations.  Confusion matrices live in single JSON files.  All writers
-emit a canonical form (sorted JSON keys, ``\\n`` line ends, shortest
-round-trip float representation) so saving what was loaded is
-byte-stable.
+annotations.  Confusion matrices live in single JSON files.  Every CSV
+table and JSON document of the package, reports and configs included,
+is read and written by the helpers here, in one canonical form (standard
+CSV quoting, sorted JSON keys, ``\\n`` line ends, shortest round-trip
+float representation), so saving what was loaded is byte-stable.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
@@ -69,19 +69,24 @@ MATRIX_ROW_TOL = 2e-2
 
 _META_KEYS = {"class_names", "delta", "upper_bound", "mu"}
 _MATRIX_KEYS = {"class_names", "rows", "metadata"}
+_ANNOTATIONS_HEADER = ["image_id", "annotator_idx", "class"]
+_LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
 
 
 class FormatError(ValueError):
     """A file does not parse against its schema."""
 
 
-def _fmt(x: float) -> str:
-    """Shortest exact decimal form of a float (round-trips via repr)."""
-    return repr(float(x))
+def _gt_header(k: int) -> list:
+    return ["image_id"] + [f"p_{i}" for i in range(k)]
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(n, str) for n in value)
 
 
 def _not_utf8(path: Path, e: UnicodeDecodeError) -> FormatError:
@@ -89,6 +94,7 @@ def _not_utf8(path: Path, e: UnicodeDecodeError) -> FormatError:
 
 
 def _read_json(path: Path) -> dict:
+    """The JSON object in a UTF-8 file; any defect raises FormatError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -104,6 +110,63 @@ def _read_json(path: Path) -> dict:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: top level must be a JSON object")
     return data
+
+
+def _dump_json(obj, path) -> None:
+    """Write ``obj`` as canonical JSON: sorted keys, two-space indent."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def _table(path: Path, header: list, optional: Optional[str] = None):
+    """Rows of a UTF-8 CSV table: ``(line, image_id, fields, extra)``.
+
+    The header must be ``header``, or ``header`` plus the ``optional``
+    column, in which case ``extra`` is true.  Blank lines are skipped;
+    every other row must have one field per column and a non-empty first
+    field (the stripped ``image_id``).  Bad bytes or quoting raise
+    FormatError naming the file and line.
+    """
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            got = next(reader, None)
+            if got is None:
+                raise FormatError(f"{path}:1: empty file, expected header {header}")
+            names = [h.strip() for h in got]
+            extra = optional is not None and names == header + [optional]
+            if not extra and names != header:
+                raise FormatError(f"{path}:1: header {got} does not match {header}")
+            width = len(header) + extra
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) != width:
+                    raise FormatError(
+                        f"{path}:{line}: expected {width} fields, got {len(row)}"
+                    )
+                image_id = row[0].strip()
+                if not image_id:
+                    raise FormatError(f"{path}:{line}: empty image_id")
+                yield line, image_id, row, extra
+        except UnicodeDecodeError as e:
+            raise _not_utf8(path, e) from e
+        except csv.Error as e:
+            raise FormatError(f"{path}:{reader.line_num}: {e}") from e
+
+
+def _write_table(path, header: Sequence, rows) -> None:
+    """Write a standard CSV table with ``\\n`` line ends.
+
+    Fields holding a separator, quote or line break are quoted; floats
+    are written as ``repr``, the shortest form that reads back exactly.
+    """
+    buf = io.StringIO()  # a row that fails leaves no half-written file
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
 
 
 @dataclass(frozen=True)
@@ -177,42 +240,18 @@ def _load_meta(path: Path) -> DatasetMeta:
         raise FormatError(f"{path}: unknown metadata keys {sorted(unknown)}")
     if "class_names" not in data:
         raise FormatError(f"{path}: missing required key 'class_names'")
-    names = data["class_names"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+    if not _is_names(data["class_names"]):
         raise FormatError(f"{path}: 'class_names' must be a list of strings")
-    numbers = {}
-    for key in ("delta", "upper_bound", "mu"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise FormatError(f"{path}: {key!r} must be a number")
-            numbers[key] = value
+    numbers = {key: data[key] for key in ("delta", "upper_bound", "mu") if key in data}
+    for key, value in numbers.items():
+        if not _is_number(value):
+            raise FormatError(f"{path}: {key!r} must be a number")
     try:
         # float() overflows on an integer literal past the float range
         kwargs = {key: float(value) for key, value in numbers.items()}
-        return DatasetMeta(tuple(names), **kwargs)
+        return DatasetMeta(tuple(data["class_names"]), **kwargs)
     except (ValueError, OverflowError) as e:
         raise FormatError(f"{path}: {e}") from e
-
-
-@contextmanager
-def _csv_reader(path: Path):
-    """``csv.reader`` over a UTF-8 file; bad bytes or quoting raise FormatError."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            yield reader
-        except UnicodeDecodeError as e:
-            raise _not_utf8(path, e) from e
-        except csv.Error as e:
-            raise FormatError(f"{path}:{reader.line_num}: {e}") from e
-
-
-def _expect_header(path: Path, got: Optional[list], want: list) -> None:
-    if got is None:
-        raise FormatError(f"{path}:1: empty file, expected header {want}")
-    if [h.strip() for h in got] != want:
-        raise FormatError(f"{path}:1: header {got} does not match {want}")
 
 
 def _class_index(path: Path, line: int, meta: DatasetMeta, name: str) -> int:
@@ -227,71 +266,39 @@ def _class_index(path: Path, line: int, meta: DatasetMeta, name: str) -> int:
 def _load_gt(path: Path, meta: DatasetMeta):
     """Parse gt.csv into {image_id: (gt, proposal_or_None)} preserving order."""
     k = meta.num_classes
-    base_header = ["image_id"] + [f"p_{i}" for i in range(k)]
     rows = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        has_proposal = header is not None and [
-            h.strip() for h in header
-        ] == base_header + ["proposal"]
-        if not has_proposal:
-            _expect_header(path, header, base_header)
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            expected = len(base_header) + (1 if has_proposal else 0)
-            if len(row) != expected:
-                raise FormatError(
-                    f"{path}:{line}: expected {expected} fields, got {len(row)}"
-                )
-            image_id = row[0].strip()
-            if not image_id:
-                raise FormatError(f"{path}:{line}: empty image_id")
-            if image_id in rows:
-                raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
-            try:
-                probs = [float(v) for v in row[1 : 1 + k]]
-            except ValueError as e:
-                raise FormatError(f"{path}:{line}: {e}") from e
-            try:
-                gt = LabelDistribution(np.asarray(probs))
-            except ValueError as e:
-                raise FormatError(
-                    f"{path}:{line}: non-normalizable soft label ({e})"
-                ) from e
-            proposal = None
-            if has_proposal and row[-1].strip():
-                proposal = _class_index(path, line, meta, row[-1])
-            rows[image_id] = (gt, proposal)
+    for line, image_id, row, has_proposal in _table(path, _gt_header(k), "proposal"):
+        if image_id in rows:
+            raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
+        try:
+            probs = [float(v) for v in row[1 : 1 + k]]
+        except ValueError as e:
+            raise FormatError(f"{path}:{line}: {e}") from e
+        try:
+            gt = LabelDistribution(np.asarray(probs))
+        except ValueError as e:
+            raise FormatError(
+                f"{path}:{line}: non-normalizable soft label ({e})"
+            ) from e
+        proposal = None
+        if has_proposal and row[-1].strip():
+            proposal = _class_index(path, line, meta, row[-1])
+        rows[image_id] = (gt, proposal)
     return rows
 
 
 def _load_annotations(path: Path, meta: DatasetMeta):
     """Parse annotations.csv into {image_id: [class index, ...]} in file order."""
     rows = {}
-    with _csv_reader(path) as reader:
-        header = next(reader, None)
-        _expect_header(path, header, ["image_id", "annotator_idx", "class"])
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(
-                    f"{path}:{line}: expected 3 fields, got {len(row)}"
-                )
-            image_id = row[0].strip()
-            if not image_id:
-                raise FormatError(f"{path}:{line}: empty image_id")
-            try:
-                idx = int(row[1])
-            except ValueError as e:
-                raise FormatError(f"{path}:{line}: {e}") from e
-            if idx < 0:
-                raise FormatError(f"{path}:{line}: negative annotator_idx")
-            cls = _class_index(path, line, meta, row[2])
-            rows.setdefault(image_id, []).append(cls)
+    for line, image_id, row, _ in _table(path, _ANNOTATIONS_HEADER):
+        try:
+            idx = int(row[1])
+        except ValueError as e:
+            raise FormatError(f"{path}:{line}: {e}") from e
+        if idx < 0:
+            raise FormatError(f"{path}:{line}: negative annotator_idx")
+        cls = _class_index(path, line, meta, row[2])
+        rows.setdefault(image_id, []).append(cls)
     return rows
 
 
@@ -350,74 +357,45 @@ def save_dataset(dataset: Dataset, path) -> None:
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     meta = dataset.meta
-    meta_obj = {
-        "class_names": list(meta.class_names),
-        "delta": meta.delta,
-        "upper_bound": meta.upper_bound,
-        "mu": meta.mu,
-    }
-    (root / META_NAME).write_text(_dump_json(meta_obj), encoding="utf-8")
+    _dump_json(asdict(meta), root / META_NAME)
 
-    k = meta.num_classes
-    has_proposal = any(img.proposal is not None for img in dataset.images)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["image_id"] + [f"p_{i}" for i in range(k)]
-    if has_proposal:
+    header = _gt_header(meta.num_classes)
+    rows = [[img.image_id] + img.gt.probs.tolist() for img in dataset.images]
+    if any(img.proposal is not None for img in dataset.images):
         header.append("proposal")
-    writer.writerow(header)
-    for img in dataset.images:
-        row = [img.image_id] + [_fmt(v) for v in img.gt.probs]
-        if has_proposal:
+        for row, img in zip(rows, dataset.images):
             row.append("" if img.proposal is None else meta.name_of(img.proposal))
-        writer.writerow(row)
-    (root / GT_NAME).write_text(buf.getvalue(), encoding="utf-8")
+    _write_table(root / GT_NAME, header, rows)
 
     if any(img.annotation_classes for img in dataset.images):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["image_id", "annotator_idx", "class"])
-        for img in dataset.images:
-            for idx, cls in enumerate(img.annotation_classes):
-                writer.writerow([img.image_id, idx, meta.name_of(cls)])
-        (root / ANNOTATIONS_NAME).write_text(buf.getvalue(), encoding="utf-8")
+        _write_table(
+            root / ANNOTATIONS_NAME,
+            _ANNOTATIONS_HEADER,
+            (
+                [img.image_id, idx, meta.name_of(cls)]
+                for img in dataset.images
+                for idx, cls in enumerate(img.annotation_classes)
+            ),
+        )
 
 
 def load_acceptance_log(path, meta: DatasetMeta):
     """Read an acceptance log into class-index entries, preserving order."""
     p = Path(path)
-    entries = []
-    with _csv_reader(p) as reader:
-        header = next(reader, None)
-        _expect_header(p, header, ["image_id", "proposal_class", "annotated_class"])
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FormatError(f"{p}:{line}: expected 3 fields, got {len(row)}")
-            image_id = row[0].strip()
-            if not image_id:
-                raise FormatError(f"{p}:{line}: empty image_id")
-            entries.append(
-                LogEntry(
-                    image_id,
-                    _class_index(p, line, meta, row[1]),
-                    _class_index(p, line, meta, row[2]),
-                )
-            )
-    return entries
+    return [
+        LogEntry(
+            image_id,
+            _class_index(p, line, meta, row[1]),
+            _class_index(p, line, meta, row[2]),
+        )
+        for line, image_id, row, _ in _table(p, _LOG_HEADER)
+    ]
 
 
 def save_acceptance_log(entries: Sequence[LogEntry], path, meta: DatasetMeta) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["image_id", "proposal_class", "annotated_class"])
-    for e in entries:
-        writer.writerow(
-            [e.image_id, meta.name_of(e.proposal), meta.name_of(e.annotated)]
-        )
-    Path(path).write_text(buf.getvalue(), encoding="utf-8")
+    name = meta.name_of
+    rows = ((e.image_id, name(e.proposal), name(e.annotated)) for e in entries)
+    _write_table(path, _LOG_HEADER, rows)
 
 
 def acceptance_records_from_log(
@@ -526,19 +504,13 @@ def load_transition_matrix(path) -> TransitionMatrixFile:
         not isinstance(rows, list)
         or not rows
         or not all(isinstance(r, list) for r in rows)
-        or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            for r in rows
-            for v in r
-        )
+        or not all(_is_number(v) for r in rows for v in r)
     ):
         raise FormatError(f"{p}: 'rows' must be a non-empty list of number lists")
     if any(len(r) != len(rows) for r in rows):
         raise FormatError(f"{p}: matrix must be square")
     names = data.get("class_names")
-    if names is not None and (
-        not isinstance(names, list) or not all(isinstance(n, str) for n in names)
-    ):
+    if names is not None and not _is_names(names):
         raise FormatError(f"{p}: 'class_names' must be a list of strings")
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -559,7 +531,7 @@ def save_transition_matrix(tm: TransitionMatrixFile, path) -> None:
         obj["class_names"] = list(tm.class_names)
     if tm.metadata:
         obj["metadata"] = dict(tm.metadata)
-    Path(path).write_text(_dump_json(obj), encoding="utf-8")
+    _dump_json(obj, path)
 
 
 _FIXTURE_PACKAGE = "annobias.data.transitions"
@@ -567,11 +539,8 @@ _FIXTURE_PACKAGE = "annobias.data.transitions"
 
 def bundled_transition_names() -> list:
     """Names of the confusion-matrix fixtures shipped with the package."""
-    names = []
-    for entry in resources.files(_FIXTURE_PACKAGE).iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return sorted(names)
+    entries = resources.files(_FIXTURE_PACKAGE).iterdir()
+    return sorted(e.name[: -len(".json")] for e in entries if e.name.endswith(".json"))
 
 
 def bundled_transition_matrix(name: str) -> TransitionMatrixFile:

@@ -1,0 +1,170 @@
+"""The file layer: quoted CSV output, typed config values, named file errors."""
+
+import csv
+import json
+import re
+
+import numpy as np
+import pytest
+
+from annobias import DatasetMeta, LabelDistribution
+from annobias.harness.cli import main
+from annobias.harness.config import ConfigError, ExperimentConfig
+from annobias.harness.experiments import run_from_manifest, run_label_correction
+from annobias.harness.formats import (
+    Dataset,
+    ImageRecord,
+    LogEntry,
+    TransitionMatrixFile,
+    save_acceptance_log,
+    save_dataset,
+    save_transition_matrix,
+)
+
+# ids a hand-joined CSV writer would split or leave unbalanced
+IDS = ("x,y", 'say "hi"', 'both, "q"', "plain")
+
+
+@pytest.fixture
+def quoted_inputs(tmp_path):
+    """Dataset (raw annotations, proposals), log and identity matrix."""
+    meta = DatasetMeta(("a", "b", "c"))
+    gts = [(0.7, 0.2, 0.1), (0.1, 0.8, 0.1), (0.2, 0.2, 0.6), (0.4, 0.5, 0.1)]
+    images = tuple(
+        ImageRecord(
+            image_id,
+            LabelDistribution(np.array(gt)),
+            None,
+            (0, 1, i % 3),
+            i % 3,
+        )
+        for i, (image_id, gt) in enumerate(zip(IDS, gts))
+    )
+    ds_dir = tmp_path / "ds"
+    save_dataset(Dataset(meta, images), ds_dir)
+    log = tmp_path / "log.csv"
+    entries = [
+        LogEntry(image_id, i % 3, (i + j) % 3)
+        for i, image_id in enumerate(IDS)
+        for j in range(2)
+    ]
+    save_acceptance_log(entries, log, meta)
+    matrix = tmp_path / "identity.json"
+    save_transition_matrix(TransitionMatrixFile(tuple(map(tuple, np.eye(3)))), matrix)
+    return ds_dir, log, matrix
+
+
+def _table(path):
+    """Rows of a CSV file, each checked to be as wide as the header."""
+    with open(path, encoding="utf-8", newline="") as f:
+        header, *rows = csv.reader(f)
+    assert rows, path
+    for row in rows:
+        assert len(row) == len(header), (path, row)
+    return header, rows
+
+
+def test_output_tables_quote_ids(quoted_inputs, tmp_path):
+    ds_dir, log, matrix = quoted_inputs
+    out = tmp_path / "out"
+    common = ["--dataset", str(ds_dir), "--transitions", str(matrix)]
+    simulate = ["simulate", *common, "--seed", "3", "--annotations", "2,4"]
+    assert main([*simulate, "--metrics", "kl,l1", "--out", str(out)]) == 0
+    assert main(["correct", *common, "--out", str(out / "repaired.csv")]) == 0
+    compare = ["compare-strategies", "--dataset", str(ds_dir), "--log", str(log)]
+    assert main([*compare, "--seed", "3", "--out", str(out / "compare.csv")]) == 0
+
+    header, rows = _table(out / "results.csv")
+    assert {row[header.index("image_id")] for row in rows} == set(IDS)
+    for name in ("aggregates.csv", "budget.csv", "compare.csv"):
+        _table(out / name)
+    header, rows = _table(out / "repaired.csv")
+    assert [row[0] for row in rows] == list(IDS)
+
+
+def _config(dataset_dir, **overrides):
+    return {"seed": 1, "dataset": str(dataset_dir), **overrides}
+
+
+WRONG_TYPES = [
+    ({"seed": [1]}, "seed"),
+    ({"annotations": 5}, "annotations"),
+    ({"dataset": ["x"]}, "dataset"),
+    ({"annotations": "55"}, "annotations"),
+]
+
+
+@pytest.mark.parametrize("overrides, key", WRONG_TYPES, ids=repr)
+def test_wrong_typed_config_value_names_the_key(
+    dataset_dir, tmp_path, overrides, key
+):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config(dataset_dir, **overrides)), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("overrides, key", WRONG_TYPES, ids=repr)
+def test_wrong_typed_manifest_value_names_the_key(
+    dataset_dir, tmp_path, overrides, key
+):
+    path = tmp_path / "manifest.json"
+    manifest = {"tool": "annobias", "config": _config(dataset_dir, **overrides)}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        run_from_manifest(path)
+
+
+def test_wrong_typed_config_value_is_a_cli_error(dataset_dir, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_config(dataset_dir, seed=[1])), encoding="utf-8")
+    argv = ["simulate", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["dataset", "empty-dataset"])
+def test_bad_cb_input_is_rejected_before_any_image(quoted_inputs, tmp_path, empty):
+    ds_dir, _, matrix = quoted_inputs
+    if empty:
+        (ds_dir / "gt.csv").write_text("image_id,p_0,p_1,p_2\n", encoding="utf-8")
+        (ds_dir / "annotations.csv").unlink()
+    with pytest.raises(ValueError, match="cb_input must be one of") as info:
+        run_label_correction(ds_dir, transitions=str(matrix), cb_input="bogus")
+    assert "image" not in str(info.value)
+
+
+MALFORMED = {
+    "non-utf8": b'{"seed": 1, "dataset": "\xff"}',
+    "deep-nesting": b"[" * 100_000,
+    "long-integer": b'{"seed": ' + b"9" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_config_file_names_the_file(tmp_path, content):
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        ExperimentConfig.from_file(path)
+
+
+@pytest.mark.parametrize("content", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_manifest_names_the_file(tmp_path, content):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
+        run_from_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["dataset", "transitions"])
+def test_over_long_path_is_a_config_error(dataset_dir, tmp_path, key):
+    # the operating system refuses the name itself (ENAMETOOLONG)
+    config = _config(dataset_dir, **{key: "9" * 400})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key} .*not found"):
+        ExperimentConfig.from_file(path)
+    path.write_text(json.dumps({"config": config}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key} .*not found"):
+        run_from_manifest(path)

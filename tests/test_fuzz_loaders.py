@@ -1,15 +1,19 @@
-"""Loaders fed arbitrary bytes fail with FormatError and nothing else."""
+"""Loaders fed arbitrary bytes fail with FormatError (ConfigError for config
+files and manifests) and nothing else."""
 
 import json
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from annobias import DatasetMeta
+from annobias.harness import experiments
+from annobias.harness.config import ConfigError, ExperimentConfig
 from annobias.harness.formats import (
     FormatError,
     load_acceptance_log,
@@ -19,6 +23,21 @@ from annobias.harness.formats import (
 
 META = DatasetMeta(("a", "b", "c"))
 
+# a config that passes validation from any working directory
+CONFIG = {
+    "seed": 1,
+    "dataset": ".",
+    "strategy": "ACCEPT_GT",
+    "annotations": [5, 10],
+    "sim_delta": 0.1,
+    "mu": 0.5,
+    "use_bc": True,
+    "cb_input": "corrected",
+    "metrics": ["kl", "l1"],
+    "speedups": [1.0, 2.5],
+    "out_dir": "out",
+}
+
 VALID = {
     "meta.json": json.dumps({"class_names": ["a", "b", "c"], "delta": 0.1}).encode(),
     "gt.csv": b"image_id,p_0,p_1,p_2,proposal\nx,0.5,0.3,0.2,a\ny,0.1,0.1,0.8,\n",
@@ -27,6 +46,8 @@ VALID = {
     "matrix.json": json.dumps(
         {"rows": [[0.9, 0.1], [0.2, 0.8]], "class_names": ["a", "b"]}
     ).encode(),
+    "config.json": json.dumps(CONFIG).encode(),
+    "manifest.json": json.dumps({"tool": "annobias", "config": CONFIG}).encode(),
 }
 
 # bytes that steer parsers into their edge cases: separators, quotes,
@@ -101,6 +122,37 @@ def test_load_transition_matrix_raises_only_format_error(data):
         path = Path(tmp) / "matrix.json"
         path.write_bytes(content)
         _only_format_errors(load_transition_matrix, path)
+
+
+def _only_config_errors(load, *args):
+    try:
+        load(*args)
+    except ConfigError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_config_file_raises_only_config_error(data):
+    content = data.draw(_contents("config.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(content)
+        _only_config_errors(ExperimentConfig.from_file, path)
+
+
+@FUZZ
+@given(data=st.data())
+def test_manifest_raises_only_config_error(data):
+    # only the reading is under test: the experiment a valid manifest
+    # names is not run
+    content = data.draw(_contents("manifest.json"))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        experiments, "run_simulation_experiment", lambda cfg: cfg
+    ):
+        path = Path(tmp) / "manifest.json"
+        path.write_bytes(content)
+        _only_config_errors(experiments.run_from_manifest, path)
 
 
 @pytest.mark.parametrize(
