@@ -37,6 +37,12 @@ STUDY_RESCALE = 1.3
 _EDGE_TOL = 1e-12
 
 
+def _interval_index(p, edges) -> np.ndarray:
+    """``i`` with ``edges[i-1] < p <= edges[i]`` for each ``p``.  Every edge sits
+    ``_EDGE_TOL`` higher, so decimal round-off a hair above an edge stays below."""
+    return np.searchsorted(np.asarray(edges, dtype=np.float64) + _EDGE_TOL, p)
+
+
 class CalibrationError(ValueError):
     """Offset estimation is impossible on the given records."""
 
@@ -111,17 +117,9 @@ def delta_from_acceptance(
     return (a - upper_bound * p_gt) / (1.0 - p_gt)
 
 
-def _in_band(records: Sequence[AcceptanceRecord], lo: float, hi: float) -> list:
-    """Records whose proposal mass lies in the band ``(lo, hi]``.
-
-    Both edges sit ``_EDGE_TOL`` higher, so a mass that decimal round-off
-    put a hair above ``hi`` still counts, and one a hair above ``lo`` not.
-    """
-    return [
-        rec
-        for rec in records
-        if lo + _EDGE_TOL < rec.gt[rec.proposal] <= hi + _EDGE_TOL
-    ]
+def _proposal_masses(records: Sequence[AcceptanceRecord]) -> np.ndarray:
+    """Ground-truth mass of each record's proposal."""
+    return np.array([rec.gt.probs[rec.proposal] for rec in records], dtype=np.float64)
 
 
 def estimate_delta_banded(
@@ -142,6 +140,13 @@ def estimate_delta_banded(
     Fewer than ``n_target`` distinct in-band images triggers a warning,
     no in-band records at all is an error.
     """
+    args = band, n_target, rescale, aggregate, upper_bound
+    return _fit_banded(records, _proposal_masses(records), *args)[0]
+
+
+def _fit_banded(records, masses, band, n_target, rescale, aggregate, upper_bound):
+    """:func:`estimate_delta_banded` at the records' proposal ``masses``, and
+    the in-band records it used."""
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid band {band!r}")
@@ -150,28 +155,27 @@ def estimate_delta_banded(
     if rescale < 0.0:
         raise ValueError("rescale must be >= 0")
 
-    in_band = _in_band(records, lo, hi)
-    if not in_band:
+    inside = np.flatnonzero(_interval_index(masses, (lo, hi)) == 1)
+    if not inside.size:
         raise CalibrationError(
             f"insufficient calibration data: no records with proposal mass in "
             f"({lo}, {hi}]"
         )
+    in_band = [records[i] for i in inside]
     values = [
-        delta_from_acceptance(
-            1.0 if rec.accepted else 0.0, rec.gt[rec.proposal], upper_bound
-        )
-        for rec in in_band
+        delta_from_acceptance(1.0 if rec.accepted else 0.0, mass, upper_bound)
+        for rec, mass in zip(in_band, masses[inside].tolist())
     ]
     image_ids = {rec.image_id for rec in in_band}
     if len(image_ids) < n_target:
         warnings.warn(
             f"only {len(image_ids)} in-band images (target {n_target}); "
             f"estimate may be noisy",
-            stacklevel=2,
+            stacklevel=3,
         )
     agg = statistics.mean(values) if aggregate == "mean" else statistics.median(values)
     est = min(max(agg, 0.0), 1.0) * rescale
-    return min(max(est, 0.0), 1.0)
+    return min(max(est, 0.0), 1.0), in_band
 
 
 def two_proposal_candidates(

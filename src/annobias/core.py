@@ -8,7 +8,7 @@ safe to share across threads once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,6 +40,33 @@ class DegenerateDistributionError(ValueError):
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _int_counts(c, noun: str) -> np.ndarray:
+    """Read-only int64 copy of the tally ``c``; ValueError unless whole and >= 0."""
+    c = np.asarray(c)
+    if not np.issubdtype(c.dtype, np.integer):
+        c = np.asarray(c, dtype=np.float64)
+        if not np.array_equal(np.rint(c), c):
+            raise ValueError(f"{noun} counts must be integers")
+    c = c.astype(np.int64)
+    if (c < 0).any():
+        raise ValueError(f"negative {noun} count")
+    return _readonly(c)
+
+
+def _check_acceptance_law(delta: float, upper_bound: float) -> None:
+    """ValueError unless ``0 <= delta < upper_bound < 1``."""
+    if not 0.0 <= delta < upper_bound:
+        raise ValueError("delta must satisfy 0 <= delta < upper_bound")
+    if not upper_bound < 1.0:
+        raise ValueError("upper_bound must be < 1")
+
+
+def _check_unit(name: str, value: float) -> None:
+    """ValueError unless ``value`` lies in [0, 1]."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,23 +146,15 @@ class AnnotationSet:
     total: int
 
     def __post_init__(self):
-        c = np.array(self.counts, copy=True)
-        if c.ndim != 1 or c.size < 2:
+        if np.ndim(self.counts) != 1 or np.size(self.counts) < 2:
             raise ValueError("counts must be a 1-d vector over >= 2 classes")
-        if not np.issubdtype(c.dtype, np.integer):
-            rounded = np.rint(np.asarray(c, dtype=np.float64))
-            if not np.array_equal(rounded, np.asarray(c, dtype=np.float64)):
-                raise ValueError("counts must be integers")
-            c = rounded.astype(np.int64)
-        c = c.astype(np.int64, copy=False)
-        if (c < 0).any():
-            raise ValueError("negative annotation count")
+        c = _int_counts(self.counts, "annotation")
         total, summed = int(self.total), int(c.sum())
         if summed != total:
             raise ValueError(f"counts sum to {summed} but total is {self.total}")
         if total < 0:
             raise ValueError("total must be non-negative")
-        object.__setattr__(self, "counts", _readonly(c))
+        object.__setattr__(self, "counts", c)
         object.__setattr__(self, "total", total)
 
     @classmethod
@@ -229,14 +248,8 @@ class DatasetMeta:
         if len(set(names)) != len(names):
             raise ValueError("duplicate class names")
         object.__setattr__(self, "class_names", names)
-        if not 0.0 <= self.delta < self.upper_bound:
-            raise ValueError("delta must satisfy 0 <= delta < upper_bound")
-        if not self.upper_bound < 1.0:
-            raise ValueError("upper_bound must be < 1")
-        if not 0.0 < self.upper_bound:
-            raise ValueError("upper_bound must be > 0")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+        _check_acceptance_law(self.delta, self.upper_bound)
+        _check_unit("mu", self.mu)
 
     @property
     def num_classes(self) -> int:

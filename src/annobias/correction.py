@@ -24,8 +24,10 @@ from .core import (
     AnnotationSet,
     LabelDistribution,
     TransitionMatrix,
+    _check_acceptance_law,
     _check_proposal,
     _check_proposals,
+    _check_unit,
     _draw_class,
     _uniform_index,
     _validated_rows,
@@ -68,14 +70,8 @@ class CorrectionParams:
     mu: float = 0.75
 
     def __post_init__(self):
-        if not self.delta < self.upper_bound:
-            raise ValueError("delta must be < upper_bound")
-        if not self.upper_bound < 1.0:
-            raise ValueError("upper_bound must be < 1")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
-        if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+        _check_acceptance_law(self.delta, self.upper_bound)
+        _check_unit("mu", self.mu)
 
 
 def _invert(
@@ -121,8 +117,7 @@ def _correct_rows(d: np.ndarray, proposals: np.ndarray, p) -> np.ndarray:
 
 def _blend_rows(d: np.ndarray, t: TransitionMatrix, mu: float) -> np.ndarray:
     """:func:`blend_with_class_distribution` of every row of ``d[N, K]``."""
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
+    _check_unit("mu", mu)
     if t.num_classes != d.shape[1]:
         raise ValueError(
             f"matrix has {t.num_classes} classes, distribution has {d.shape[1]}"

@@ -124,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--initial-supervision", type=float)
     sim.add_argument("--pct-annotated", type=float)
-    sim.add_argument("--aggregation", choices=["median", "mean"])
     sim.add_argument("--out", required=True, help="output directory")
 
     cor = sub.add_parser("correct", help="repair raw annotation tallies")

@@ -14,7 +14,6 @@ from .formats import FormatError, _read_json
 __all__ = ["ConfigError", "ExperimentConfig", "KNOWN_METRICS"]
 
 KNOWN_METRICS = ("kl", "l1")
-_AGGREGATIONS = ("median", "mean")
 
 
 class ConfigError(ValueError):
@@ -25,6 +24,13 @@ def _path(value) -> str:
     return str(os.fspath(value))
 
 
+def _integer(value) -> int:
+    """``int(value)``, refusing a number with a fractional part."""
+    if not isinstance(value, (str, bytes)) and value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
 def _flag(value) -> bool:
     if value not in (True, False):
         raise TypeError(value)
@@ -33,9 +39,9 @@ def _flag(value) -> bool:
 
 # field -> (conversion, what a value must be); list fields convert each item
 _CONVERSIONS = {
-    "seed": (int, "an integer"),
+    "seed": (_integer, "an integer"),
     "dataset": (_path, "a path"),
-    "annotations": (int, "integers"),
+    "annotations": (_integer, "integers"),
     "sim_delta": (float, "a number"),
     "sim_upper_bound": (float, "a number"),
     "mu": (float, "a number"),
@@ -54,7 +60,6 @@ _LISTS = ("annotations", "metrics", "speedups")
 _CHOICES = {
     "cb_input": _CB_INPUTS,
     "reject_fallback": _REJECT_FALLBACKS,
-    "aggregation": _AGGREGATIONS,
 }
 
 
@@ -101,7 +106,6 @@ class ExperimentConfig:
     speedups: tuple = (1.0, 2.5, 10.0)
     initial_supervision: float = 0.2
     pct_annotated: float = 1.0
-    aggregation: str = "median"
     out_dir: Optional[str] = None
 
     def __post_init__(self):

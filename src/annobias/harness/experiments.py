@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime
 import os
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from pathlib import Path
@@ -22,9 +21,9 @@ import numpy as np
 from .. import __version__
 from ..calibration import (
     CalibrationError,
-    _in_band,
+    _fit_banded,
     _median_below,
-    estimate_delta_banded,
+    _proposal_masses,
     two_proposal_candidates,
 )
 from ..core import LabelDistribution, _validated_rows, argmax_class
@@ -35,11 +34,12 @@ from ..correction import (
     repair_labels,
 )
 from ..metrics import (
+    NUM_BINS,
     BudgetParams,
+    _bins,
     _compare,
     _kl_rows,
     aggregate_scores,
-    bin_index,
     budget,
 )
 from ..rng import substream
@@ -253,7 +253,8 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     )
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
 
-    def cells(i, j, n, params):
+    def cells(i, j, n):
+        params = replace(sim, repetitions=n)
         counts = np.empty((j - i, dataset.num_classes), dtype=np.int64)
         for row in range(i, j):
             img = images[row]
@@ -272,32 +273,21 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
         )
         return raw, repaired
 
+    def block(i, j):
+        return [cells(i, j, n) for n in cfg.annotations]
+
     scores = {
         (n, variant, metric): []
         for n in cfg.annotations
         for variant in _VARIANTS
         for metric in cfg.metrics
     }
-    failures = []  # (image row, count index, error) of failing cells
-    by_count = [replace(sim, repetitions=n) for n in cfg.annotations]
-    for lo in range(0, len(images), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(images))
-        for c, n in enumerate(cfg.annotations):
-            dists, failure = _by_block(
-                lambda i, j: cells(i, j, n, by_count[c]), lo, hi
-            )
-            if failure is not None:
-                failures.append((failure[0], c, failure[1]))
-                continue
+    for lo, hi, by_n in _by_block(block, images):
+        for n, dists in zip(cfg.annotations, by_n):
             for variant, dist in zip(_VARIANTS, dists):
                 for metric in cfg.metrics:
                     value = _METRIC_ROWS[metric](probs[lo:hi], dist)
                     scores[(n, variant, metric)].append(value)
-        if failures:  # later blocks hold only later images
-            break
-    if failures:
-        row, _, error = min(failures, key=lambda f: f[:2])
-        raise RuntimeError(f"image {images[row].image_id!r}: {error}") from error
     return {
         key: np.concatenate(parts).tolist() for key, parts in scores.items() if parts
     }
@@ -349,27 +339,21 @@ def run_calibration(
 
     if method == "banded":
         records = acceptance_records_from_log(entries, dataset.gt_by_id())
-        occupancy = Counter(bin_index(r.gt[r.proposal]) for r in records)
-        occupancy_by_bin = {f"bin_{b}": occupancy.get(b, 0) for b in range(6)}
+        masses = _proposal_masses(records)
+        occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
+        occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
         try:
-            estimate = estimate_delta_banded(
-                records,
-                band=band,
-                n_target=n_target,
-                rescale=rescale,
-                aggregate=aggregate,
-                upper_bound=sim.upper_bound,
+            estimate, in_band = _fit_banded(
+                records, masses, band, n_target, rescale, aggregate, sim.upper_bound
             )
         except CalibrationError as e:
             raise CalibrationError(
                 f"{e}; proposal-mass bin occupancy: {occupancy_by_bin}"
             ) from e
-        lo, hi = float(band[0]), float(band[1])
-        in_band = _in_band(records, lo, hi)
         return {
             "method": "banded",
             "estimate": estimate,
-            "band": [lo, hi],
+            "band": [float(band[0]), float(band[1])],
             "rescale": rescale,
             "aggregate": aggregate,
             "upper_bound": sim.upper_bound,
@@ -449,35 +433,33 @@ def run_label_correction(
             cb_input=cb_input,
         )
 
-    out = []
+    return [
+        (img.image_id, LabelDistribution(probs))
+        for lo, hi, repaired in _by_block(rows, images)
+        for img, probs in zip(images[lo:hi], repaired)
+    ]
+
+
+def _by_block(compute, images):
+    """Yield ``(lo, hi, compute(lo, hi))`` per block of ``_BLOCK_ROWS`` images.
+
+    If a block fails, each of its rows is run on its own, and the first row
+    that fails raises ``RuntimeError`` naming its image, as a row-by-row
+    loop would have."""
     for lo in range(0, len(images), _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, len(images))
-        repaired, failure = _by_block(rows, lo, hi)
-        if failure is not None:
-            row, error = failure
-            raise RuntimeError(f"image {images[row].image_id!r}: {error}") from error
-        for img, probs in zip(images[lo:hi], repaired):
-            out.append((img.image_id, LabelDistribution(probs)))
-    return out
-
-
-def _by_block(compute, lo: int, hi: int):
-    """``(compute(lo, hi), None)``, or ``(None, (row, error))`` if that raises.
-
-    ``compute(i, j)`` works on rows ``i:j``.  After a failure every row is
-    run on its own, and the first row that fails names the error, as a
-    row-by-row loop would have reported it.
-    """
-    try:
-        return compute(lo, hi), None
-    except Exception as error:
-        block_error = error
-    for row in range(lo, hi):
         try:
-            compute(row, row + 1)
-        except Exception as error:
-            return None, (row, error)
-    raise block_error
+            result = compute(lo, hi)
+        except Exception as block_error:
+            for row in range(lo, hi):
+                try:
+                    compute(row, row + 1)
+                except Exception as error:
+                    raise RuntimeError(
+                        f"image {images[row].image_id!r}: {error}"
+                    ) from error
+            raise block_error
+        yield lo, hi, result
 
 
 def emit_report(report: Report, out_dir) -> list:
@@ -518,5 +500,6 @@ def run_from_manifest(manifest_path) -> Report:
             candidate = p.parent / value
             if os.path.exists(candidate):
                 data[key] = str(candidate)
+    data.pop("aggregation", None)  # a field of older configs that nothing read
     cfg = ExperimentConfig.from_mapping(data, source=str(p))
     return run_simulation_experiment(cfg)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -309,7 +310,7 @@ def load_dataset(path) -> Dataset:
     ``annotations.csv``; at least one of the two must exist.
     """
     root = Path(path)
-    if not root.is_dir():
+    if not os.path.isdir(root):
         raise FormatError(f"{root}: not a dataset directory")
     meta_path = root / META_NAME
     if not meta_path.exists():

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import _EDGE_TOL, AcceptanceRecord
-from .core import LabelDistribution
+from .calibration import _EDGE_TOL, AcceptanceRecord, _interval_index
+from .core import LabelDistribution, _check_unit, _int_counts
 from .rng import uniforms
 from .simulation import (
     _MAX_UNIFORMS_PER_DRAW,
@@ -55,19 +55,9 @@ class BinMatrix:
     cells: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.cells, copy=True)
-        if c.shape != (NUM_BINS, NUM_BINS):
+        if np.shape(self.cells) != (NUM_BINS, NUM_BINS):
             raise ValueError(f"cells must be {NUM_BINS}x{NUM_BINS}")
-        if not np.issubdtype(c.dtype, np.integer):
-            rounded = np.rint(np.asarray(c, dtype=np.float64))
-            if not np.array_equal(rounded, np.asarray(c, dtype=np.float64)):
-                raise ValueError("cell counts must be integers")
-            c = rounded.astype(np.int64)
-        c = c.astype(np.int64)
-        if np.any(c < 0):
-            raise ValueError("negative cell count")
-        c.flags.writeable = False
-        object.__setattr__(self, "cells", c)
+        object.__setattr__(self, "cells", _int_counts(self.cells, "cell"))
 
     @property
     def total(self) -> int:
@@ -98,10 +88,8 @@ class BudgetParams:
     speedup: float
 
     def __post_init__(self):
-        if not 0.0 <= self.initial_supervision <= 1.0:
-            raise ValueError("initial_supervision must lie in [0, 1]")
-        if not 0.0 <= self.pct_annotated <= 1.0:
-            raise ValueError("pct_annotated must lie in [0, 1]")
+        _check_unit("initial_supervision", self.initial_supervision)
+        _check_unit("pct_annotated", self.pct_annotated)
         if self.annotations_per_image < 0.0:
             raise ValueError("annotations_per_image must be >= 0")
         if self.speedup < 1.0:
@@ -148,27 +136,26 @@ def _kl_rows(g: np.ndarray, est: np.ndarray, epsilon: float = 1e-8) -> np.ndarra
 
 def bin_index(p: float) -> int:
     """Bin of a probability: 0 for exactly 0, else right-closed fifths."""
-    p = float(p)
-    if p < -_EDGE_TOL or p > 1.0 + _EDGE_TOL:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    if p <= _EDGE_TOL:
-        return 0
-    for i, edge in enumerate(BIN_EDGES):
-        if p <= edge + _EDGE_TOL:
-            return i + 1
-    return NUM_BINS - 1
+    return int(_bins(float(p)))
+
+
+def _bins(p) -> np.ndarray:
+    """:func:`bin_index` of every value in ``p``."""
+    p = np.asarray(p, dtype=np.float64)
+    # comparisons with NaN are false, so NaN fails here too
+    bad = ~((p >= -_EDGE_TOL) & (p <= 1.0 + _EDGE_TOL))
+    if bad.any():
+        raise ValueError(f"probability {float(p.flat[bad.argmax()])!r} outside [0, 1]")
+    return _interval_index(p, (0.0, *BIN_EDGES))
 
 
 def build_bin_matrix(records: Sequence[AcceptanceRecord]) -> BinMatrix:
     """Tally records by (proposed-class bin, annotated-class bin)."""
     if not records:
         raise ValueError("cannot build a bin matrix from zero records")
-    cells = np.zeros((NUM_BINS, NUM_BINS), dtype=np.int64)
-    for rec in records:
-        row = bin_index(rec.gt[rec.proposal])
-        col = bin_index(rec.gt[rec.annotated])
-        cells[row, col] += 1
-    return BinMatrix(cells)
+    bins = _bins([(r.gt.probs[r.proposal], r.gt.probs[r.annotated]) for r in records])
+    cells = np.bincount(NUM_BINS * bins[:, 0] + bins[:, 1], minlength=NUM_BINS**2)
+    return BinMatrix(cells.reshape(NUM_BINS, NUM_BINS))
 
 
 def sod(m_r: BinMatrix, m_s: BinMatrix, normalized: bool = False) -> float:
@@ -282,17 +269,11 @@ def _compare(records, strategies, p, repetitions, seed) -> list:
             for strategy in strategies
         ]
 
-        # bin of each (record, class) the matrices need, from the scalar law
-        first = k * np.arange(group.size)
-        used = np.zeros(probs.size, dtype=bool)
-        for classes in [proposals, *annotated]:
-            used[first + classes] = True
-        needed = np.flatnonzero(used)
-        bins = np.zeros(probs.size, dtype=np.int64)
-        bins[needed] = [bin_index(v) for v in probs.ravel()[needed].tolist()]
-        row_bins = NUM_BINS * bins[first + proposals]
+        bins = _bins(probs)
+        rows = np.arange(group.size)
+        row_bins = NUM_BINS * bins[rows, proposals]
         for counts, classes in zip(cells, annotated):
-            for rep, c in enumerate(row_bins + bins[first + classes]):
+            for rep, c in enumerate(row_bins + bins[rows, classes]):
                 counts[rep] += np.bincount(c, minlength=NUM_BINS * NUM_BINS)
 
     out = []

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     AnnotationSet,
     LabelDistribution,
+    _check_acceptance_law,
     _check_proposal,
     _draw_class,
     _uniform_index,
@@ -87,10 +88,7 @@ class SimulationParams:
     reject_fallback: str = "first"
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < self.upper_bound:
-            raise ValueError("delta must satisfy 0 <= delta < upper_bound")
-        if not self.upper_bound < 1.0:
-            raise ValueError("upper_bound must be < 1")
+        _check_acceptance_law(self.delta, self.upper_bound)
         if int(self.repetitions) < 1 or self.repetitions != int(self.repetitions):
             raise ValueError("repetitions must be an integer >= 1")
         object.__setattr__(self, "repetitions", int(self.repetitions))

@@ -146,6 +146,11 @@ class TestDatasetErrors:
         with pytest.raises(FormatError, match="not a dataset directory"):
             load_dataset(tmp_path / "absent")
 
+    def test_over_long_path_is_a_format_error(self, tmp_path):
+        # the OS refuses the name (ENAMETOOLONG) rather than reporting it absent
+        with pytest.raises(FormatError, match="not a dataset directory"):
+            load_dataset(tmp_path / ("9" * 400))
+
     def test_missing_meta(self, tmp_path):
         root = tmp_path / "d"
         root.mkdir()

@@ -1,5 +1,6 @@
 """Experiment orchestration, report emission, and the command line."""
 
+import inspect
 import json
 
 import numpy as np
@@ -13,7 +14,8 @@ from annobias import (
     estimate_delta_two_proposals,
     repair_labels,
 )
-from annobias.harness.cli import main
+from annobias.correction import estimate_transition_matrix
+from annobias.harness.cli import build_parser, main
 from annobias.harness.config import ConfigError, ExperimentConfig
 from annobias.harness.experiments import (
     Report,
@@ -37,6 +39,7 @@ from annobias.harness.formats import (
     save_transition_matrix,
 )
 from annobias.calibration import CalibrationError
+from annobias.metrics import compare_strategies
 
 from conftest import (
     banded_campaign,
@@ -98,7 +101,6 @@ class TestExperimentConfig:
         assert cfg.speedups == (1.0, 2.5, 10.0)
         assert cfg.initial_supervision == 0.2
         assert cfg.pct_annotated == 1.0
-        assert cfg.aggregation == "median"
         assert cfg.use_bc and cfg.use_cb
         assert cfg.cb_input == "corrected"
         assert cfg.reject_fallback == "first"
@@ -136,12 +138,24 @@ class TestExperimentConfig:
             ({"speedups": (0.5,)}, "speedup"),
             ({"initial_supervision": 1.5}, "initial_supervision"),
             ({"pct_annotated": -0.1}, "pct_annotated"),
-            ({"aggregation": "mode"}, "aggregation"),
         ],
     )
     def test_field_validation(self, dataset_dir, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(seed=1, dataset=str(dataset_dir), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,key", [({"seed": 1.5}, "seed"), ({"annotations": [5.7]}, "annotations")]
+    )
+    def test_non_integral_number_is_rejected(self, dataset_dir, kwargs, key):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(**{"seed": 1, "dataset": str(dataset_dir), **kwargs})
+
+    def test_integral_float_and_numeric_string_are_accepted(self, dataset_dir):
+        cfg = ExperimentConfig(seed=5.0, dataset=str(dataset_dir), annotations=[5.0])
+        assert cfg.seed == 5 and cfg.annotations == (5,)
+        cfg = ExperimentConfig(seed="5", dataset=str(dataset_dir), annotations=["5"])
+        assert cfg.seed == 5 and cfg.annotations == (5,)
 
     def test_missing_transitions_file(self, dataset_dir, tmp_path):
         with pytest.raises(ConfigError, match="transitions file not found"):
@@ -537,6 +551,21 @@ class TestRunFromManifest:
         rerun = run_from_manifest(tmp_path / "manifest.json")
         assert rerun.results == report.results
 
+    def test_manifest_with_aggregation_key_replays(self, dataset_dir, tmp_path):
+        # manifests written while the config still had an `aggregation` field
+        first = tmp_path / "first"
+        cfg = ExperimentConfig(seed=6, dataset=str(dataset_dir), annotations=(3,))
+        emit_report(run_simulation_experiment(cfg), first)
+        manifest = json.loads((first / "manifest.json").read_text())
+        manifest["config"]["aggregation"] = "median"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        second = tmp_path / "second"
+        rc = main(["report", "--from-manifest", str(old), "--out", str(second)])
+        assert rc == 0
+        for name in ("results.csv", "aggregates.csv", "budget.csv"):
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             run_from_manifest(tmp_path / "absent.json")
@@ -785,3 +814,55 @@ class TestCli:
         assert (second / "results.csv").read_bytes() == (
             first / "results.csv"
         ).read_bytes()
+
+
+class TestCliDefaultsMatchLibrary:
+    """Each flag default equals the default of the parameter it feeds."""
+
+    @pytest.mark.parametrize(
+        "argv,function,compared",
+        [
+            (
+                ["correct", "--dataset", "d", "--out", "o"],
+                run_label_correction,
+                {
+                    "transitions",
+                    "seed",
+                    "corr_delta",
+                    "corr_upper_bound",
+                    "mu",
+                    "use_bc",
+                    "use_cb",
+                    "cb_input",
+                },
+            ),
+            (
+                ["calibrate", "--dataset", "d", "--log", "l"],
+                run_calibration,
+                {"band", "n_target", "aggregate", "threshold"},
+            ),
+            (
+                ["estimate-transitions", "--dataset", "d", "--seed", "0", "--out", "o"],
+                estimate_transition_matrix,
+                {"n_images", "n_annos"},
+            ),
+            (
+                ["compare-strategies", "--dataset", "d", "--log", "l", "--seed", "0"],
+                compare_strategies,
+                {"repetitions"},
+            ),
+        ],
+    )
+    def test_flag_defaults(self, argv, function, compared):
+        args = vars(build_parser().parse_args(argv))
+        defaults = {
+            name: param.default
+            for name, param in inspect.signature(function).parameters.items()
+            if param.default is not inspect.Parameter.empty
+            and name in args
+            and name != "rescale"  # the CLI resolves None from --study-data
+        }
+        assert set(defaults) == compared
+        for name, default in defaults.items():
+            flag = tuple(args[name]) if name == "band" else args[name]
+            assert flag == default, name

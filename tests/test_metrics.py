@@ -23,6 +23,12 @@ from annobias import (
     normalize,
     sod,
 )
+from annobias.calibration import (
+    _EDGE_TOL,
+    CalibrationError,
+    _fit_banded,
+    _proposal_masses,
+)
 from annobias.metrics import BIN_EDGES, NUM_BINS
 
 from conftest import build_dataset, campaign_records
@@ -112,6 +118,101 @@ class TestBinIndex:
         assert 0 <= b < NUM_BINS
         if b >= 2:
             assert p > BIN_EDGES[b - 2]
+
+
+def _reference_bin(p):
+    """Bin of ``p`` by the scalar comparisons the interval rule replaced."""
+    if p < -_EDGE_TOL or p > 1.0 + _EDGE_TOL:
+        return "outside"
+    if p <= _EDGE_TOL:
+        return 0
+    for i, edge in enumerate(BIN_EDGES):
+        if p <= edge + _EDGE_TOL:
+            return i + 1
+    return NUM_BINS - 1
+
+
+def _reference_in_band(p, lo, hi):
+    return lo + _EDGE_TOL < p <= hi + _EDGE_TOL
+
+
+def _bin_or_outside(p):
+    try:
+        return bin_index(p)
+    except ValueError:
+        return "outside"
+
+
+# every value within 1e-12 of an edge on a fine grid, plus the floats next
+# to each tolerance-shifted edge
+_EDGES = (0.0, *BIN_EDGES)
+_NEAR_EDGES = sorted(
+    {edge + k * 1e-13 for edge in _EDGES for k in range(-10, 11)}
+    | {
+        float(np.nextafter(edge + _EDGE_TOL, side))
+        for edge in _EDGES
+        for side in (-1.0, 2.0)
+    }
+)
+
+
+_PROBS = st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(
+    [p for p in _NEAR_EDGES if 0.0 <= p <= 1.0]
+)
+
+
+class TestIntervalRule:
+    """bin_index, build_bin_matrix and band membership against the scalar rule."""
+
+    @given(st.floats(min_value=0.0, max_value=1.0) | st.sampled_from(_NEAR_EDGES))
+    def test_bin_index_matches_reference(self, p):
+        assert _bin_or_outside(p) == _reference_bin(p)
+
+    def test_bin_index_matches_reference_at_every_near_edge_value(self):
+        for p in _NEAR_EDGES:
+            assert _bin_or_outside(p) == _reference_bin(p), p
+
+    def test_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            bin_index(float("nan"))
+
+    @given(st.lists(st.tuples(_PROBS, st.booleans()), min_size=1, max_size=30))
+    def test_bin_matrix_matches_reference(self, rows):
+        records = [
+            AcceptanceRecord(f"im{i}", 0, 0 if keep else 1, LabelDistribution([p, 1 - p]))
+            for i, (p, keep) in enumerate(rows)
+        ]
+        expected = np.zeros((NUM_BINS, NUM_BINS), dtype=np.int64)
+        for rec in records:
+            row = _reference_bin(rec.gt[rec.proposal])
+            expected[row, _reference_bin(rec.gt[rec.annotated])] += 1
+        np.testing.assert_array_equal(build_bin_matrix(records).cells, expected)
+
+    @given(
+        st.lists(_PROBS, min_size=1, max_size=30),
+        st.sampled_from([(0.2, 0.4), (0.0, 0.2), (0.4, 0.6), (0.8, 1.0), (0.0, 1.0)]),
+    )
+    def test_band_membership_matches_reference(self, probs, band):
+        records = [
+            AcceptanceRecord(f"im{i}", 0, 0, LabelDistribution([p, 1 - p]))
+            for i, p in enumerate(probs)
+        ]
+        lo, hi = band
+        expected = [r for r in records if _reference_in_band(r.gt[0], lo, hi)]
+
+        def fit():
+            masses = _proposal_masses(records)
+            return _fit_banded(records, masses, band, 1, 1.0, "mean", 0.99)
+
+        if not expected:
+            with pytest.raises(CalibrationError, match="no records"):
+                fit()
+        elif any(r.gt[0] >= 1.0 for r in expected):
+            # the inversion is undefined at mass 1
+            with pytest.raises(CalibrationError, match="mass 1"):
+                fit()
+        else:
+            assert fit()[1] == expected
 
 
 class TestBinMatrix:
