@@ -193,57 +193,47 @@ def two_proposal_candidates(
     round's rejected annotations over the classes outside both proposals,
     and the acceptance law is inverted at the first round's rate.
     """
-    candidates = []
-    for rec in records:
-        ca = np.asarray(rec.annotations_a.counts, dtype=np.float64)
-        cb = np.asarray(rec.annotations_b.counts, dtype=np.float64)
-        n_a, n_b = rec.annotations_a.total, rec.annotations_b.total
-        rho_a, rho_b = rec.proposal_a, rec.proposal_b
-        acc_a = ca[rho_a] / n_a
-        acc_b = cb[rho_b] / n_b
+    return [_two_proposal_candidate(rec, upper_bound) for rec in records]
 
-        if acc_a == 1.0:
-            candidates.append(acc_b)
-            continue
-        if acc_a == 0.0:
-            candidates.append(0.0)
-            continue
-        if acc_b == 1.0:
-            candidates.append(acc_a)
-            continue
-        if acc_b == 0.0:
-            candidates.append(0.0)
-            continue
 
-        # rejected second-round annotations, renormalized
-        c_prime = cb / (n_b - cb[rho_b])
-        # pooled annotations from both rounds landing outside both proposals
-        pooled = ca + cb
-        pooled[rho_a] = 0.0
-        pooled[rho_b] = 0.0
-        outside_total = float(pooled.sum())
-        if outside_total <= 0.0:
-            candidates.append(float("nan"))
-            continue
-        e = pooled / outside_total
+def _two_proposal_candidate(rec: TwoProposalRecord, upper_bound: float):
+    """The raw offset candidate of one record; see :func:`two_proposal_candidates`."""
+    ca = np.asarray(rec.annotations_a.counts, dtype=np.float64)
+    cb = np.asarray(rec.annotations_b.counts, dtype=np.float64)
+    rho_a, rho_b = rec.proposal_a, rec.proposal_b
+    acc_a = ca[rho_a] / rec.annotations_a.total
+    acc_b = cb[rho_b] / rec.annotations_b.total
+    if acc_a == 1.0:
+        return acc_b
+    if acc_a == 0.0:
+        return 0.0
+    if acc_b == 1.0:
+        return acc_a
+    if acc_b == 0.0:
+        return 0.0
 
-        # outside both proposals the joint correction term vanishes,
-        # leaving the plain ratio of rejected share to outside share
-        ratios = [
-            c_prime[k] / e[k]
-            for k in range(ca.size)
-            if k not in (rho_a, rho_b) and e[k] > 0.0
-        ]
-        if not ratios:
-            candidates.append(float("nan"))
-            continue
-        p_not_rho_a = float(np.mean(ratios))
-        if p_not_rho_a <= 0.0:
-            candidates.append(float("nan"))
-            continue
-        p_rho_a = 1.0 - p_not_rho_a
-        candidates.append((acc_a - upper_bound * p_rho_a) / p_not_rho_a)
-    return candidates
+    # rejected second-round annotations, renormalized
+    c_prime = cb / (rec.annotations_b.total - cb[rho_b])
+    # pooled annotations from both rounds landing outside both proposals
+    pooled = ca + cb
+    pooled[rho_a] = 0.0
+    pooled[rho_b] = 0.0
+    outside_total = float(pooled.sum())
+    if outside_total <= 0.0:
+        return float("nan")
+    e = pooled / outside_total
+
+    # outside both proposals the joint correction term vanishes,
+    # leaving the plain ratio of rejected share to outside share
+    ratios = [
+        c_prime[k] / e[k]
+        for k in range(ca.size)
+        if k not in (rho_a, rho_b) and e[k] > 0.0
+    ]
+    p_not_rho_a = float(np.mean(ratios)) if ratios else 0.0
+    if p_not_rho_a <= 0.0:
+        return float("nan")
+    return (acc_a - upper_bound * (1.0 - p_not_rho_a)) / p_not_rho_a
 
 
 def _median_below(candidates: list, threshold: float) -> tuple:

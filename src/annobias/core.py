@@ -191,8 +191,9 @@ class TransitionMatrix:
         arr = np.asarray(self.rows, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError("transition matrix must be square")
-        validated = np.stack([LabelDistribution(row).probs for row in arr])
-        object.__setattr__(self, "rows", _readonly(validated))
+        if arr.shape[0] < 2:
+            raise DegenerateDistributionError("need at least two classes")
+        object.__setattr__(self, "rows", _readonly(_validated_rows(arr.copy())))
 
     @classmethod
     def from_rows(cls, rows, row_tol: float = RENORMALIZE_TOL) -> "TransitionMatrix":
@@ -245,9 +246,11 @@ class DatasetMeta:
         names = tuple(str(n) for n in self.class_names)
         if len(names) < 2:
             raise ValueError("need at least two classes")
-        if len(set(names)) != len(names):
+        index = {name: i for i, name in enumerate(names)}
+        if len(index) != len(names):
             raise ValueError("duplicate class names")
         object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "_index", index)  # not a field: asdict skips it
         _check_acceptance_law(self.delta, self.upper_bound)
         _check_unit("mu", self.mu)
 
@@ -257,8 +260,8 @@ class DatasetMeta:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.class_names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise KeyError(f"unknown class name {name!r}") from None
 
     def name_of(self, index: int) -> str:

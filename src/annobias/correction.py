@@ -188,15 +188,8 @@ def repair_labels(
     _check_cb_input(cb_input)
     if isinstance(a, AnnotationSet):
         proposal = _check_proposal(a.num_classes, proposal)
-        rows = repair_labels(
-            a.counts[None],
-            np.array([proposal]),
-            t,
-            p,
-            use_bc=use_bc,
-            use_cb=use_cb,
-            cb_input=cb_input,
-        )
+        stages = {"use_bc": use_bc, "use_cb": use_cb, "cb_input": cb_input}
+        rows = repair_labels(a.counts[None], np.array([proposal]), t, p, **stages)
         return LabelDistribution(rows[0])
     counts = np.asarray(a)
     proposals = np.asarray(proposal, dtype=np.int64)
@@ -204,18 +197,13 @@ def repair_labels(
     totals = counts.sum(axis=1)
     if (totals < 1).any():
         raise ValueError("need at least one annotation")
-    if cb_input == "corrected":
-        if use_bc:
-            d = _correct_counts(counts, proposals, p)
-        else:
-            d = _validated_rows(counts / totals[:, None])
-        if use_cb:
-            d = _blend_rows(d, t, p.mu)
-        return d
-    d = _validated_rows(counts / totals[:, None])
+    if use_bc and cb_input == "corrected":
+        d = _correct_counts(counts, proposals, p)
+    else:
+        d = _validated_rows(counts / totals[:, None])
     if use_cb:
         d = _blend_rows(d, t, p.mu)
-    if use_bc:
+    if use_bc and cb_input == "biased":
         d = _correct_rows(d, proposals, p)
     return d
 

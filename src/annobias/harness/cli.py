@@ -22,8 +22,11 @@ from dataclasses import fields
 
 from .. import __version__
 from ..calibration import STUDY_RESCALE
+from ..correction import _CB_INPUTS
+from ..simulation import _REJECT_FALLBACKS
 from .config import ConfigError, ExperimentConfig
 from .experiments import (
+    _resolve_transitions,
     emit_report,
     run_calibration,
     run_from_manifest,
@@ -106,13 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable class blending",
     )
     sim.add_argument(
-        "--cb-input",
-        choices=["corrected", "biased"],
-        help="what the blending stage sees",
+        "--cb-input", choices=_CB_INPUTS, help="what the blending stage sees"
     )
     sim.add_argument(
         "--reject-fallback",
-        choices=["first", "random"],
+        choices=_REJECT_FALLBACKS,
         help="rejected-proposal fallback when no ground-truth mass remains",
     )
     sim.add_argument("--transitions", help="confusion-matrix JSON file")
@@ -143,9 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     cor.add_argument(
         "--no-cb", dest="use_cb", action="store_false", help="disable class blending"
     )
-    cor.add_argument(
-        "--cb-input", choices=["corrected", "biased"], default="corrected"
-    )
+    cor.add_argument("--cb-input", choices=_CB_INPUTS, default="corrected")
     cor.add_argument("--out", required=True, help="output CSV file")
 
     cal = sub.add_parser("calibrate", help="estimate the acceptance offset")
@@ -274,15 +273,9 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_estimate_transitions(args) -> int:
-    from ..correction import estimate_transition_matrix
-    from ..rng import substream
-
     dataset = load_dataset(args.dataset)
-    matrix = estimate_transition_matrix(
-        [img.gt for img in dataset.images],
-        n_images=args.n_images,
-        n_annos=args.n_annos,
-        rng=substream(args.seed, "transition-estimation"),
+    matrix = _resolve_transitions(
+        None, args.seed, dataset, n_images=args.n_images, n_annos=args.n_annos
     )
     tm_file = TransitionMatrixFile.from_matrix(
         matrix,

@@ -8,12 +8,13 @@ from pathlib import Path
 from typing import Optional
 
 from ..correction import _CB_INPUTS
+from ..metrics import _METRIC_ROWS
 from ..simulation import _REJECT_FALLBACKS, Strategy
 from .formats import FormatError, _read_json
 
 __all__ = ["ConfigError", "ExperimentConfig", "KNOWN_METRICS"]
 
-KNOWN_METRICS = ("kl", "l1")
+KNOWN_METRICS = tuple(_METRIC_ROWS)
 
 
 class ConfigError(ValueError):
@@ -141,8 +142,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown metrics {sorted(unknown)} (known: {KNOWN_METRICS})"
             )
-        if len(set(self.metrics)) != len(self.metrics):
-            raise ConfigError("duplicate metric names")
+        for name in _LISTS:
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"duplicate entries in {name}")
         if any(s < 1.0 for s in self.speedups):
             raise ConfigError("every speedup must be >= 1")
 

@@ -34,11 +34,11 @@ from ..correction import (
     repair_labels,
 )
 from ..metrics import (
+    _METRIC_ROWS,
     NUM_BINS,
     BudgetParams,
     _bins,
     _compare,
-    _kl_rows,
     aggregate_scores,
     budget,
 )
@@ -94,16 +94,6 @@ class Report:
     budget: list = field(default_factory=list)
 
 
-def _l1_rows(g: np.ndarray, est: np.ndarray) -> np.ndarray:
-    return np.abs(g - est).sum(axis=1)
-
-
-# metric name -> score of every row pair (true rows, estimated rows)
-_METRIC_ROWS = {
-    "kl": _kl_rows,
-    "l1": _l1_rows,
-}
-
 # images validated, repaired and scored together; bounds the temporaries
 _BLOCK_ROWS = 128
 _VARIANTS = ("raw", "repaired")
@@ -117,8 +107,14 @@ def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
     )
 
 
-def _resolve_transitions(transitions: Optional[str], seed: Optional[int], dataset):
-    """Load the named confusion matrix, or estimate one from the dataset."""
+def _resolve_transitions(
+    transitions: Optional[str], seed: Optional[int], dataset, **sizes
+):
+    """Load the named confusion matrix, or estimate one from the dataset.
+
+    The estimate reads the seed's transition-estimation stream; ``sizes``
+    go to :func:`~annobias.correction.estimate_transition_matrix`.
+    """
     if transitions is not None:
         matrix = load_transition_matrix(transitions).matrix
         if matrix.num_classes != dataset.num_classes:
@@ -135,6 +131,7 @@ def _resolve_transitions(transitions: Optional[str], seed: Optional[int], datase
     return estimate_transition_matrix(
         [img.gt for img in dataset.images],
         rng=substream(int(seed), "transition-estimation"),
+        **sizes,
     )
 
 

@@ -319,37 +319,33 @@ def load_dataset(path) -> Dataset:
 
     gt_path = root / GT_NAME
     ann_path = root / ANNOTATIONS_NAME
-    gt_rows = _load_gt(gt_path, meta) if gt_path.exists() else None
-    ann_rows = _load_annotations(ann_path, meta) if ann_path.exists() else None
-    if gt_rows is None and ann_rows is None:
+    if not gt_path.exists() and not ann_path.exists():
         raise FormatError(f"{root}: need {GT_NAME} or {ANNOTATIONS_NAME}")
+    gt_rows = _load_gt(gt_path, meta) if gt_path.exists() else None
+    ann_rows = _load_annotations(ann_path, meta) if ann_path.exists() else {}
 
+    # soft labels come from gt.csv when it exists, even with no rows
+    order = ann_rows if gt_rows is None else gt_rows
     images = []
-    if gt_rows is not None:
-        for image_id, (gt, proposal) in gt_rows.items():
-            classes = tuple((ann_rows or {}).get(image_id, ()))
-            annotations = (
-                AnnotationSet.tally(classes, meta.num_classes) if classes else None
-            )
-            images.append(
-                ImageRecord(image_id, gt, annotations, classes, proposal)
-            )
-        orphans = set(ann_rows or {}) - set(gt_rows)
-        if orphans:
-            raise FormatError(
-                f"{ann_path}: image_id {sorted(orphans)[0]!r} not present in "
-                f"{GT_NAME}"
-            )
-    else:
-        for image_id, classes in ann_rows.items():
-            annotations = AnnotationSet.tally(classes, meta.num_classes)
+    for image_id in order:
+        classes = tuple(ann_rows.get(image_id, ()))
+        annotations = (
+            AnnotationSet.tally(classes, meta.num_classes) if classes else None
+        )
+        if gt_rows is None:
+            proposal = None
             try:
                 gt = soft_gt_from_annotations(annotations)
             except ValueError as e:
                 raise FormatError(f"{ann_path}: image {image_id!r}: {e}") from e
-            images.append(
-                ImageRecord(image_id, gt, annotations, tuple(classes), None)
-            )
+        else:
+            gt, proposal = gt_rows[image_id]
+        images.append(ImageRecord(image_id, gt, annotations, classes, proposal))
+    orphans = set(ann_rows) - set(order)
+    if orphans:
+        raise FormatError(
+            f"{ann_path}: image_id {sorted(orphans)[0]!r} not present in {GT_NAME}"
+        )
     return Dataset(meta, tuple(images))
 
 
@@ -463,6 +459,7 @@ class TransitionMatrixFile:
     raw_rows: tuple
     class_names: Optional[tuple] = None
     metadata: Mapping = field(default_factory=dict)
+    matrix: TransitionMatrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = tuple(tuple(float(v) for v in row) for row in self.raw_rows)
@@ -475,14 +472,8 @@ class TransitionMatrixFile:
                 )
             object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "metadata", dict(self.metadata))
-        # validates shape and row sums up front
-        self.matrix
-
-    @property
-    def matrix(self) -> TransitionMatrix:
-        return TransitionMatrix.from_rows(
-            np.asarray(self.raw_rows), row_tol=MATRIX_ROW_TOL
-        )
+        matrix = TransitionMatrix.from_rows(np.asarray(rows), row_tol=MATRIX_ROW_TOL)
+        object.__setattr__(self, "matrix", matrix)
 
     @classmethod
     def from_matrix(
@@ -517,11 +508,7 @@ def load_transition_matrix(path) -> TransitionMatrixFile:
     if not isinstance(metadata, dict):
         raise FormatError(f"{p}: 'metadata' must be an object")
     try:
-        return TransitionMatrixFile(
-            tuple(tuple(v for v in r) for r in rows),
-            tuple(names) if names is not None else None,
-            metadata,
-        )
+        return TransitionMatrixFile(rows, names, metadata)
     except (ValueError, OverflowError) as e:
         raise FormatError(f"{p}: {e}") from e
 

@@ -24,7 +24,7 @@ from .simulation import (
     _MAX_UNIFORMS_PER_DRAW,
     SimulationParams,
     Strategy,
-    _simulate_counts,
+    _draw_classes,
 )
 
 __all__ = [
@@ -132,6 +132,17 @@ def _kl_rows(g: np.ndarray, est: np.ndarray, epsilon: float = 1e-8) -> np.ndarra
         gs = g[rows, cols]
         out[rows[:, 0]] = (gs * np.log(gs / e[rows, cols])).sum(axis=1)
     return np.maximum(out, 0.0)
+
+
+def _l1_rows(g: np.ndarray, est: np.ndarray) -> np.ndarray:
+    return np.abs(g - est).sum(axis=1)
+
+
+# metric name -> score of every row pair (true rows, estimated rows)
+_METRIC_ROWS = {
+    "kl": _kl_rows,
+    "l1": _l1_rows,
+}
 
 
 def bin_index(p: float) -> int:
@@ -263,9 +274,9 @@ def _compare(records, strategies, p, repetitions, seed) -> list:
         rep_proposals = np.tile(proposals, repetitions)
         rep_draws = draws[(n * np.arange(repetitions)[:, None] + group).ravel()]
         annotated = [
-            _simulate_counts(strategy, rep_probs, rep_proposals, 1, p, rep_draws)
-            .argmax(axis=1)
-            .reshape(repetitions, group.size)
+            _draw_classes(strategy, rep_probs, rep_proposals, 1, p, rep_draws).reshape(
+                repetitions, group.size
+            )
             for strategy in strategies
         ]
 

@@ -52,8 +52,6 @@ def key_words(key) -> tuple:
     Integers pass through (masked to 64 bits); strings and bytes are hashed
     with SHA-256 and split into four words.  Nested tuples/lists flatten.
     """
-    if isinstance(key, (bool,)):
-        return (int(key),)
     if isinstance(key, (int, np.integer)):
         return (int(key) & _MASK64,)
     if isinstance(key, str):

@@ -129,6 +129,7 @@ class TestExperimentConfig:
         [
             ({"annotations": ()}, "annotations"),
             ({"annotations": (0,)}, "annotations"),
+            ({"annotations": (5, 5)}, "duplicate entries in annotations"),
             ({"mu": 1.5}, "mu"),
             ({"corr_delta": 0.5, "corr_upper_bound": 0.4}, "corr_delta"),
             ({"cb_input": "sideways"}, "cb_input"),
@@ -136,6 +137,7 @@ class TestExperimentConfig:
             ({"metrics": ("kl", "accuracy")}, "unknown metrics"),
             ({"metrics": ("kl", "kl")}, "duplicate"),
             ({"speedups": (0.5,)}, "speedup"),
+            ({"speedups": (1.0, 1.0)}, "duplicate entries in speedups"),
             ({"initial_supervision": 1.5}, "initial_supervision"),
             ({"pct_annotated": -0.1}, "pct_annotated"),
         ],
