@@ -129,7 +129,6 @@ class TestExperimentConfig:
         [
             ({"annotations": ()}, "annotations"),
             ({"annotations": (0,)}, "annotations"),
-            ({"annotations": (5, 5)}, "duplicate entries in annotations"),
             ({"mu": 1.5}, "mu"),
             ({"corr_delta": 0.5, "corr_upper_bound": 0.4}, "corr_delta"),
             ({"cb_input": "sideways"}, "cb_input"),
@@ -137,12 +136,22 @@ class TestExperimentConfig:
             ({"metrics": ("kl", "accuracy")}, "unknown metrics"),
             ({"metrics": ("kl", "kl")}, "duplicate"),
             ({"speedups": (0.5,)}, "speedup"),
-            ({"speedups": (1.0, 1.0)}, "duplicate entries in speedups"),
             ({"initial_supervision": 1.5}, "initial_supervision"),
             ({"pct_annotated": -0.1}, "pct_annotated"),
         ],
     )
     def test_field_validation(self, dataset_dir, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig(seed=1, dataset=str(dataset_dir), **kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            ({"annotations": (5, 5)}, "duplicate entries in annotations"),
+            ({"speedups": (1.0, 1.0)}, "duplicate entries in speedups"),
+        ],
+    )
+    def test_repeated_entries_are_rejected(self, dataset_dir, kwargs, match):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig(seed=1, dataset=str(dataset_dir), **kwargs)
 
