@@ -104,13 +104,14 @@ def delta_from_acceptance(
     """Invert the acceptance law for the offset: (A - ub*p) / (1 - p).
 
     Unclamped — callers clamp or aggregate.  Undefined at ``p_gt == 1``
-    where every acceptance law yields the same rate.
+    where every acceptance law yields the same rate.  Elementwise when
+    ``a`` and ``p_gt`` are arrays.
     """
-    if not 0.0 <= a <= 1.0:
+    if not np.all((0.0 <= a) & (a <= 1.0)):
         raise ValueError(f"acceptance rate {a!r} outside [0, 1]")
-    if not 0.0 <= p_gt <= 1.0:
+    if not np.all((0.0 <= p_gt) & (p_gt <= 1.0)):
         raise ValueError(f"ground-truth mass {p_gt!r} outside [0, 1]")
-    if p_gt >= 1.0:
+    if np.any(p_gt >= 1.0):
         raise CalibrationError(
             "offset undefined at ground-truth mass 1 (zero denominator)"
         )
@@ -146,7 +147,8 @@ def estimate_delta_banded(
 
 def _fit_banded(records, masses, band, n_target, rescale, aggregate, upper_bound):
     """:func:`estimate_delta_banded` at the records' proposal ``masses``, and
-    the in-band records it used."""
+    the in-band records it used.  Any records with ``image_id``,
+    ``proposal`` and ``annotated`` fields will do, log entries too."""
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid band {band!r}")
@@ -162,10 +164,8 @@ def _fit_banded(records, masses, band, n_target, rescale, aggregate, upper_bound
             f"({lo}, {hi}]"
         )
     in_band = [records[i] for i in inside]
-    values = [
-        delta_from_acceptance(1.0 if rec.accepted else 0.0, mass, upper_bound)
-        for rec, mass in zip(in_band, masses[inside].tolist())
-    ]
+    accepted = np.array([rec.annotated == rec.proposal for rec in in_band])
+    values = delta_from_acceptance(accepted, masses[inside], upper_bound).tolist()
     image_ids = {rec.image_id for rec in in_band}
     if len(image_ids) < n_target:
         warnings.warn(

@@ -26,11 +26,11 @@ from ..correction import _CB_INPUTS
 from ..simulation import _REJECT_FALLBACKS
 from .config import ConfigError, ExperimentConfig
 from .experiments import (
+    _repaired,
     _resolve_transitions,
     emit_report,
     run_calibration,
     run_from_manifest,
-    run_label_correction,
     run_simulation_experiment,
     run_strategy_comparison,
 )
@@ -228,20 +228,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_correct(args) -> int:
-    repaired = run_label_correction(
-        args.dataset,
-        transitions=args.transitions,
-        seed=args.seed,
-        corr_delta=args.corr_delta,
-        corr_upper_bound=args.corr_upper_bound,
-        mu=args.mu,
-        use_bc=args.use_bc,
-        use_cb=args.use_cb,
-        cb_input=args.cb_input,
+    stages = dict(use_bc=args.use_bc, use_cb=args.use_cb, cb_input=args.cb_input)
+    params = args.corr_delta, args.corr_upper_bound, args.mu
+    dataset, repaired = _repaired(
+        args.dataset, args.transitions, args.seed, *params, **stages
     )
-    k = repaired[0][1].num_classes if repaired else 0
-    rows = ([image_id] + dist.probs.tolist() for image_id, dist in repaired)
-    _write_table(args.out, _gt_header(k), rows)
+    rows = ([i] + probs.tolist() for i, probs in zip(dataset.ids, repaired))
+    _write_table(args.out, _gt_header(dataset.num_classes), rows)
     print(args.out)
     return 0
 

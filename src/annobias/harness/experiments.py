@@ -23,10 +23,9 @@ from ..calibration import (
     CalibrationError,
     _fit_banded,
     _median_below,
-    _proposal_masses,
     two_proposal_candidates,
 )
-from ..core import LabelDistribution, _validated_rows, argmax_class
+from ..core import LabelDistribution, _validated_rows
 from ..correction import (
     CorrectionParams,
     _check_cb_input,
@@ -46,8 +45,10 @@ from ..rng import substream
 from ..simulation import SimulationParams, Strategy, simulate_strategy_set
 from .config import ConfigError, ExperimentConfig
 from .formats import (
+    _BLOCK_ROWS,
     FormatError,
     _dump_json,
+    _log_rows,
     _read_json,
     _write_table,
     acceptance_records_from_log,
@@ -94,8 +95,6 @@ class Report:
     budget: list = field(default_factory=list)
 
 
-# images validated, repaired and scored together; bounds the temporaries
-_BLOCK_ROWS = 128
 _VARIANTS = ("raw", "repaired")
 
 
@@ -136,10 +135,10 @@ def _resolve_transitions(
 
 
 def _proposal_source(dataset) -> str:
-    given = [img.proposal is not None for img in dataset.images]
-    if all(given):
+    given = dataset.proposals >= 0
+    if given.all():
         return "column"
-    if not any(given):
+    if not given.any():
         return "argmax_gt"
     return "mixed"
 
@@ -177,7 +176,7 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     manifest = _manifest(
         cfg,
         "simulate",
-        dataset_images=len(dataset.images),
+        dataset_images=len(dataset.ids),
         num_classes=dataset.num_classes,
         proposal_source=_proposal_source(dataset),
         effective_sim_delta=sim.delta,
@@ -192,13 +191,13 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     values = _score_cells(cfg, strategy, sim, corr, matrix, dataset)
     results = [
         {
-            "image_id": img.image_id,
+            "image_id": image_id,
             "annotations": n,
             "variant": variant,
             "metric": metric,
             "value": vals[i],
         }
-        for i, img in enumerate(dataset.images)
+        for i, image_id in enumerate(dataset.ids)
         for (n, variant, metric), vals in values.items()
     ]
 
@@ -238,16 +237,8 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     naming the image of the first failing cell in image-major order.
     """
     images = dataset.images
-    probs = np.array([img.gt.probs for img in images]).reshape(
-        len(images), dataset.num_classes
-    )
-    proposals = np.array(
-        [
-            argmax_class(img.gt) if img.proposal is None else img.proposal
-            for img in images
-        ],
-        dtype=np.int64,
-    )
+    probs, given = dataset.probs, dataset.proposals
+    proposals = np.where(given < 0, probs.argmax(axis=1), given)
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
 
     def cells(i, j, n):
@@ -279,7 +270,7 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
         for variant in _VARIANTS
         for metric in cfg.metrics
     }
-    for lo, hi, by_n in _by_block(block, images):
+    for lo, hi, by_n in _by_block(block, dataset.ids):
         for n, dists in zip(cfg.annotations, by_n):
             for variant, dist in zip(_VARIANTS, dists):
                 for metric in cfg.metrics:
@@ -302,6 +293,7 @@ def run_strategy_comparison(
     """
     dataset = load_dataset(cfg.dataset)
     entries = load_acceptance_log(log_path, dataset.meta)
+    _log_rows(log_path, entries, dataset)  # names the line of an unknown image id
     records = acceptance_records_from_log(entries, dataset.gt_by_id())
     if not records:
         raise FormatError(f"{log_path}: log contains no entries")
@@ -335,13 +327,13 @@ def run_calibration(
     sim = _effective_sim_params(cfg, dataset.meta)
 
     if method == "banded":
-        records = acceptance_records_from_log(entries, dataset.gt_by_id())
-        masses = _proposal_masses(records)
+        proposals = np.array([e.proposal for e in entries], dtype=np.int64)
+        masses = dataset.probs[_log_rows(log_path, entries, dataset), proposals]
         occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
         occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
         try:
             estimate, in_band = _fit_banded(
-                records, masses, band, n_target, rescale, aggregate, sim.upper_bound
+                entries, masses, band, n_target, rescale, aggregate, sim.upper_bound
             )
         except CalibrationError as e:
             raise CalibrationError(
@@ -354,9 +346,9 @@ def run_calibration(
             "rescale": rescale,
             "aggregate": aggregate,
             "upper_bound": sim.upper_bound,
-            "n_records": len(records),
+            "n_records": len(entries),
             "n_in_band_records": len(in_band),
-            "n_in_band_images": len({r.image_id for r in in_band}),
+            "n_in_band_images": len({e.image_id for e in in_band}),
             "occupancy": occupancy_by_bin,
         }
     if method == "two-proposal":
@@ -398,17 +390,28 @@ def run_label_correction(
     ``transitions`` names a matrix file; ``None`` estimates one from the
     dataset's soft labels, which requires ``seed``.
     """
-    _check_cb_input(cb_input)
+    stages = dict(use_bc=use_bc, use_cb=use_cb, cb_input=cb_input)
+    dataset, repaired = _repaired(
+        dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu, **stages
+    )
+    return [(i, LabelDistribution(probs)) for i, probs in zip(dataset.ids, repaired)]
+
+
+def _repaired(dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu, **st):
+    """:func:`run_label_correction` as the loaded dataset and its repaired
+    rows ``float64[N, K]``; ``st`` are the repair stages."""
+    _check_cb_input(st["cb_input"])
     dataset = load_dataset(dataset_path)
-    missing_ann = [i.image_id for i in dataset.images if i.annotations is None]
-    if missing_ann:
+    ids, counts, proposals = dataset.ids, dataset.counts, dataset.proposals
+    missing_ann = np.flatnonzero(counts.sum(axis=1) == 0)
+    if missing_ann.size:
         raise FormatError(
-            f"image {missing_ann[0]!r} has no raw annotations to correct"
+            f"image {ids[missing_ann[0]]!r} has no raw annotations to correct"
         )
-    missing_prop = [i.image_id for i in dataset.images if i.proposal is None]
-    if missing_prop:
+    missing_prop = np.flatnonzero(proposals < 0)
+    if missing_prop.size:
         raise FormatError(
-            f"image {missing_prop[0]!r} has no proposal; correction requires "
+            f"image {ids[missing_prop[0]]!r} has no proposal; correction requires "
             f"an explicit proposal column"
         )
     matrix = _resolve_transitions(transitions, seed, dataset)
@@ -417,34 +420,24 @@ def run_label_correction(
         upper_bound=corr_upper_bound,
         mu=dataset.meta.mu if mu is None else mu,
     )
-    images = dataset.images
 
     def rows(i, j):
-        return repair_labels(
-            np.array([img.annotations.counts for img in images[i:j]]),
-            np.array([img.proposal for img in images[i:j]]),
-            matrix,
-            corr,
-            use_bc=use_bc,
-            use_cb=use_cb,
-            cb_input=cb_input,
-        )
+        return repair_labels(counts[i:j], proposals[i:j], matrix, corr, **st)
 
-    return [
-        (img.image_id, LabelDistribution(probs))
-        for lo, hi, repaired in _by_block(rows, images)
-        for img, probs in zip(images[lo:hi], repaired)
-    ]
+    repaired = np.empty(counts.shape)
+    for lo, hi, block in _by_block(rows, ids):
+        repaired[lo:hi] = block
+    return dataset, repaired
 
 
-def _by_block(compute, images):
+def _by_block(compute, ids):
     """Yield ``(lo, hi, compute(lo, hi))`` per block of ``_BLOCK_ROWS`` images.
 
     If a block fails, each of its rows is run on its own, and the first row
-    that fails raises ``RuntimeError`` naming its image, as a row-by-row
+    that fails raises ``RuntimeError`` naming its image id, as a row-by-row
     loop would have."""
-    for lo in range(0, len(images), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(images))
+    for lo in range(0, len(ids), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(ids))
         try:
             result = compute(lo, hi)
         except Exception as block_error:
@@ -452,9 +445,7 @@ def _by_block(compute, images):
                 try:
                     compute(row, row + 1)
                 except Exception as error:
-                    raise RuntimeError(
-                        f"image {images[row].image_id!r}: {error}"
-                    ) from error
+                    raise RuntimeError(f"image {ids[row]!r}: {error}") from error
             raise block_error
         yield lo, hi, result
 

@@ -26,6 +26,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -37,7 +38,8 @@ from ..core import (
     DatasetMeta,
     LabelDistribution,
     TransitionMatrix,
-    soft_gt_from_annotations,
+    _readonly,
+    _validated_rows,
 )
 
 __all__ = [
@@ -62,7 +64,6 @@ __all__ = [
 META_NAME = "meta.json"
 GT_NAME = "gt.csv"
 ANNOTATIONS_NAME = "annotations.csv"
-ACCEPTANCE_LOG_NAME = "acceptance_log.csv"
 
 # Published confusion tables round entries to about three decimals, so a
 # row may sum to e.g. 0.999; accept that here and renormalize explicitly.
@@ -72,6 +73,9 @@ _META_KEYS = {"class_names", "delta", "upper_bound", "mu"}
 _MATRIX_KEYS = {"class_names", "rows", "metadata"}
 _ANNOTATIONS_HEADER = ["image_id", "annotator_idx", "class"]
 _LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
+
+# rows parsed, validated and repaired together; bounds the temporaries
+_BLOCK_ROWS = 128
 
 
 class FormatError(ValueError):
@@ -181,21 +185,23 @@ class ImageRecord:
     proposal: Optional[int] = None
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A validated in-memory dataset."""
+    """A validated in-memory dataset, held as columns: image ``i`` is
+    ``ids[i]``, with soft label ``probs[i]`` (read-only ``float64[N, K]``),
+    proposal ``proposals[i]`` (-1 for none), annotation tally ``counts[i]``
+    and annotations ``classes[offsets[i]:offsets[i + 1]]`` in file order.
+    ``images`` is an :class:`ImageRecord` view built on first access;
+    ``Dataset(meta, images)`` builds the columns from such records.
+    """
 
-    meta: DatasetMeta
-    images: tuple
-
-    def __post_init__(self):
-        images = tuple(self.images)
-        seen = set()
-        k = self.meta.num_classes
+    def __init__(self, meta: DatasetMeta, images: Sequence[ImageRecord]):
+        images = tuple(images)
+        index = {}
+        k = meta.num_classes
         for img in images:
-            if img.image_id in seen:
+            if img.image_id in index:
                 raise FormatError(f"duplicate image_id {img.image_id!r}")
-            seen.add(img.image_id)
+            index[img.image_id] = len(index)
             if img.gt.num_classes != k:
                 raise FormatError(
                     f"image {img.image_id!r}: {img.gt.num_classes} classes, "
@@ -205,22 +211,63 @@ class Dataset:
                 raise FormatError(
                     f"image {img.image_id!r}: annotation tally has wrong width"
                 )
+            if not all(0 <= c < k for c in img.annotation_classes):
+                raise FormatError(f"image {img.image_id!r}: unknown annotation class")
             if img.proposal is not None and not 0 <= img.proposal < k:
                 raise FormatError(
                     f"image {img.image_id!r}: proposal index {img.proposal} "
                     f"out of range"
                 )
-        object.__setattr__(self, "images", images)
+        probs = np.array([img.gt.probs for img in images]).reshape(len(images), k)
+        proposals = [-1 if img.proposal is None else img.proposal for img in images]
+        rows = [i for i, img in enumerate(images) for _ in img.annotation_classes]
+        classes = [c for img in images for c in img.annotation_classes]
+        self._fill(meta, index, probs, proposals, rows, classes)
+        self._images = images
+
+    def _fill(self, meta, index, probs, proposals, rows, classes) -> None:
+        """Set the columns from the ``index`` of image ids to rows and the row
+        and class of each annotation in file order.  With ``probs`` None the
+        soft labels are the averaged annotations, and there are no proposals."""
+        k, n = meta.num_classes, len(index)
+        rows, classes = np.asarray(rows, np.int64), np.asarray(classes, np.int64)
+        counts = np.bincount(rows * k + classes, minlength=n * k).reshape(n, k)
+        if probs is None:
+            probs = _validated_rows(counts / counts.sum(axis=1, keepdims=True))
+            proposals = [-1] * n
+        self.meta, self.ids, self._rows, self._images = meta, tuple(index), index, None
+        self.probs, self.counts = _readonly(probs), _readonly(counts)
+        self.proposals = _readonly(np.asarray(proposals, dtype=np.int64))
+        self.classes = _readonly(classes[np.argsort(rows, kind="stable")])
+        self.offsets = _readonly(np.concatenate(([0], np.cumsum(counts.sum(1)))))
 
     @property
     def num_classes(self) -> int:
         return self.meta.num_classes
 
+    @property
+    def images(self) -> tuple:
+        """One :class:`ImageRecord` per image, built on first access."""
+        if self._images is None:
+            ends = zip(self.offsets.tolist(), self.offsets[1:].tolist())
+            proposals = self.proposals.tolist()
+            columns = zip(self.ids, self.probs, self.counts, ends, proposals)
+            self._images = tuple(
+                ImageRecord(
+                    image_id,
+                    LabelDistribution(probs),
+                    AnnotationSet(counts, hi - lo) if hi > lo else None,
+                    tuple(self.classes[lo:hi].tolist()),
+                    None if proposal < 0 else proposal,
+                )
+                for image_id, probs, counts, (lo, hi), proposal in columns
+            )
+        return self._images
+
     def image(self, image_id: str) -> ImageRecord:
-        for img in self.images:
-            if img.image_id == image_id:
-                return img
-        raise KeyError(f"unknown image_id {image_id!r}")
+        if image_id not in self._rows:
+            raise KeyError(f"unknown image_id {image_id!r}")
+        return self.images[self._rows[image_id]]
 
     def gt_by_id(self) -> dict:
         return {img.image_id: img.gt for img in self.images}
@@ -256,41 +303,63 @@ def _load_meta(path: Path) -> DatasetMeta:
 
 
 def _class_index(path: Path, line: int, meta: DatasetMeta, name: str) -> int:
+    index = meta._index.get(name.strip())
+    if index is None:
+        raise FormatError(f"{path}:{line}: unknown class name {name.strip()!r}")
+    return index
+
+
+def _gt_values(path: Path, block: list, k: int) -> np.ndarray:
+    """Validated ``float64[len(block), K]`` rows of a block of ``(line,
+    fields)``, converted in one call.  If that fails, the block is re-checked
+    row by row and the first bad row raises FormatError naming its line."""
     try:
-        return meta.index_of(name.strip())
-    except KeyError:
-        raise FormatError(
-            f"{path}:{line}: unknown class name {name.strip()!r}"
-        ) from None
-
-
-def _load_gt(path: Path, meta: DatasetMeta):
-    """Parse gt.csv into {image_id: (gt, proposal_or_None)} preserving order."""
-    k = meta.num_classes
-    rows = {}
-    for line, image_id, row, has_proposal in _table(path, _gt_header(k), "proposal"):
-        if image_id in rows:
-            raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
+        values = np.asarray([fields for _, fields in block], dtype=float)
+        return _validated_rows(values.reshape(len(block), k))
+    except ValueError:
+        rows = []
+    for line, fields in block:
         try:
-            probs = [float(v) for v in row[1 : 1 + k]]
+            probs = [float(v) for v in fields]
         except ValueError as e:
             raise FormatError(f"{path}:{line}: {e}") from e
         try:
-            gt = LabelDistribution(np.asarray(probs))
+            rows.append(_validated_rows(np.array([probs]))[0])
         except ValueError as e:
             raise FormatError(
                 f"{path}:{line}: non-normalizable soft label ({e})"
             ) from e
-        proposal = None
-        if has_proposal and row[-1].strip():
-            proposal = _class_index(path, line, meta, row[-1])
-        rows[image_id] = (gt, proposal)
-    return rows
+    return np.array(rows)
 
 
-def _load_annotations(path: Path, meta: DatasetMeta):
-    """Parse annotations.csv into {image_id: [class index, ...]} in file order."""
-    rows = {}
+def _load_gt(path: Path, meta: DatasetMeta, index: dict):
+    """Parse gt.csv in blocks of ``_BLOCK_ROWS`` rows into ``(probs[N, K],
+    proposals[N])``, -1 marking no proposal, and add each id's row to
+    ``index``."""
+    k = meta.num_classes
+    values, proposals, block = [], [], []
+    try:
+        for line, image_id, row, extra in _table(path, _gt_header(k), "proposal"):
+            if image_id in index:
+                raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
+            index[image_id] = len(index)
+            block.append((line, row[1 : 1 + k]))
+            name = row[-1].strip() if extra else ""
+            proposals.append(_class_index(path, line, meta, name) if name else -1)
+            if len(block) == _BLOCK_ROWS:
+                block, full = [], block
+                values.append(_gt_values(path, full, k))
+    except FormatError:
+        _gt_values(path, block, k)  # a bad row earlier in the block comes first
+        raise
+    values.append(_gt_values(path, block, k))
+    return np.concatenate(values), proposals
+
+
+def _load_annotations(path: Path, meta: DatasetMeta, index: dict):
+    """Parse annotations.csv into each annotation's image row and class
+    index, in file order; ids missing from ``index`` are added to it."""
+    rows, classes = [], []
     for line, image_id, row, _ in _table(path, _ANNOTATIONS_HEADER):
         try:
             idx = int(row[1])
@@ -298,9 +367,9 @@ def _load_annotations(path: Path, meta: DatasetMeta):
             raise FormatError(f"{path}:{line}: {e}") from e
         if idx < 0:
             raise FormatError(f"{path}:{line}: negative annotator_idx")
-        cls = _class_index(path, line, meta, row[2])
-        rows.setdefault(image_id, []).append(cls)
-    return rows
+        classes.append(_class_index(path, line, meta, row[2]))
+        rows.append(index.setdefault(image_id, len(index)))
+    return rows, classes
 
 
 def load_dataset(path) -> Dataset:
@@ -321,32 +390,18 @@ def load_dataset(path) -> Dataset:
     ann_path = root / ANNOTATIONS_NAME
     if not gt_path.exists() and not ann_path.exists():
         raise FormatError(f"{root}: need {GT_NAME} or {ANNOTATIONS_NAME}")
-    gt_rows = _load_gt(gt_path, meta) if gt_path.exists() else None
-    ann_rows = _load_annotations(ann_path, meta) if ann_path.exists() else {}
-
     # soft labels come from gt.csv when it exists, even with no rows
-    order = ann_rows if gt_rows is None else gt_rows
-    images = []
-    for image_id in order:
-        classes = tuple(ann_rows.get(image_id, ()))
-        annotations = (
-            AnnotationSet.tally(classes, meta.num_classes) if classes else None
-        )
-        if gt_rows is None:
-            proposal = None
-            try:
-                gt = soft_gt_from_annotations(annotations)
-            except ValueError as e:
-                raise FormatError(f"{ann_path}: image {image_id!r}: {e}") from e
-        else:
-            gt, proposal = gt_rows[image_id]
-        images.append(ImageRecord(image_id, gt, annotations, classes, proposal))
-    orphans = set(ann_rows) - set(order)
-    if orphans:
-        raise FormatError(
-            f"{ann_path}: image_id {sorted(orphans)[0]!r} not present in {GT_NAME}"
-        )
-    return Dataset(meta, tuple(images))
+    index = {}
+    gt = _load_gt(gt_path, meta, index) if gt_path.exists() else (None, None)
+    probs, proposals = gt
+    n = len(index)
+    ann = _load_annotations(ann_path, meta, index) if ann_path.exists() else ((), ())
+    if probs is not None and len(index) > n:
+        orphan = min(list(index)[n:])
+        raise FormatError(f"{ann_path}: image_id {orphan!r} not present in {GT_NAME}")
+    dataset = Dataset.__new__(Dataset)
+    dataset._fill(meta, index, probs, proposals, *ann)
+    return dataset
 
 
 def save_dataset(dataset: Dataset, path) -> None:
@@ -395,6 +450,10 @@ def save_acceptance_log(entries: Sequence[LogEntry], path, meta: DatasetMeta) ->
     _write_table(path, _LOG_HEADER, rows)
 
 
+def _unknown_image(image_id: str) -> str:
+    return f"acceptance log references unknown image_id {image_id!r}"
+
+
 def acceptance_records_from_log(
     entries: Sequence[LogEntry], gt_by_id: Mapping[str, LabelDistribution]
 ) -> list:
@@ -403,11 +462,20 @@ def acceptance_records_from_log(
     for e in entries:
         gt = gt_by_id.get(e.image_id)
         if gt is None:
-            raise FormatError(
-                f"acceptance log references unknown image_id {e.image_id!r}"
-            )
+            raise FormatError(_unknown_image(e.image_id))
         records.append(AcceptanceRecord(e.image_id, e.proposal, e.annotated, gt))
     return records
+
+
+def _log_rows(path, entries: Sequence[LogEntry], dataset: Dataset) -> np.ndarray:
+    """The dataset row of each log entry read from ``path``.  An unknown image
+    id raises FormatError naming the log line, found by reading it again."""
+    rows = [dataset._rows.get(e.image_id, -1) for e in entries]
+    if -1 in rows:
+        i = rows.index(-1)
+        line = next(islice(_table(Path(path), _LOG_HEADER), i, None), "?")[0]
+        raise FormatError(f"{path}:{line}: {_unknown_image(entries[i].image_id)}")
+    return np.array(rows, dtype=np.int64)
 
 
 def two_proposal_records_from_log(
@@ -418,32 +486,19 @@ def two_proposal_records_from_log(
     Every image must appear with exactly two distinct proposals; the
     round order follows first appearance in the log.
     """
-    by_image = {}
+    rounds = {}  # image id -> proposal -> annotated classes, in log order
     for e in entries:
-        by_image.setdefault(e.image_id, []).append(e)
+        rounds.setdefault(e.image_id, {}).setdefault(e.proposal, []).append(e.annotated)
     records = []
-    for image_id, group in by_image.items():
-        proposals = []
-        for e in group:
-            if e.proposal not in proposals:
-                proposals.append(e.proposal)
-        if len(proposals) != 2:
+    for image_id, by_proposal in rounds.items():
+        if len(by_proposal) != 2:
             raise FormatError(
-                f"image {image_id!r} has {len(proposals)} distinct proposals "
+                f"image {image_id!r} has {len(by_proposal)} distinct proposals "
                 f"in the log; the two-round protocol needs exactly 2"
             )
-        rho_a, rho_b = proposals
-        counts_a = [e.annotated for e in group if e.proposal == rho_a]
-        counts_b = [e.annotated for e in group if e.proposal == rho_b]
-        records.append(
-            TwoProposalRecord(
-                image_id,
-                rho_a,
-                rho_b,
-                AnnotationSet.tally(counts_a, num_classes),
-                AnnotationSet.tally(counts_b, num_classes),
-            )
-        )
+        (rho_a, a), (rho_b, b) = by_proposal.items()
+        tallies = (AnnotationSet.tally(c, num_classes) for c in (a, b))
+        records.append(TwoProposalRecord(image_id, rho_a, rho_b, *tallies))
     return records
 
 
