@@ -227,25 +227,30 @@ def estimate_transition_matrix(
     invented row.
     """
     pool = list(gts)
-    if not pool:
+    if any(g.num_classes != pool[0].num_classes for g in pool):
+        raise ValueError("ground-truth distributions disagree on class count")
+    probs = np.array([g.probs for g in pool])
+    return _estimate_transitions(probs, n_images, n_annos, rng=rng)
+
+
+def _estimate_transitions(probs, n_images=100, n_annos=10, *, rng) -> TransitionMatrix:
+    """:func:`estimate_transition_matrix` of the soft labels ``probs[N, K]``."""
+    if not len(probs):
         raise ValueError("need at least one ground-truth distribution")
     if int(n_images) < 1 or int(n_annos) < 1:
         raise ValueError("n_images and n_annos must be >= 1")
     n_images, n_annos = int(n_images), int(n_annos)
-    k = pool[0].num_classes
-    if any(g.num_classes != k for g in pool):
-        raise ValueError("ground-truth distributions disagree on class count")
+    k = probs.shape[1]
 
-    if len(pool) >= n_images:
-        order = _permutation_indices(len(pool), rng)[:n_images]
+    if len(probs) >= n_images:
+        order = _permutation_indices(len(probs), rng)[:n_images]
     else:
-        order = _uniform_index(len(pool), rng.random(n_images))
+        order = _uniform_index(len(probs), rng.random(n_images))
 
     sums = np.zeros((k, k), dtype=np.float64)
     hits = np.zeros(k, dtype=np.int64)
     for i in order:
-        gt = pool[int(i)]
-        counts = np.bincount(_draw_class(gt.probs, rng.random(n_annos)), minlength=k)
+        counts = np.bincount(_draw_class(probs[i], rng.random(n_annos)), minlength=k)
         empirical = counts / n_annos
         top = int(np.argmax(empirical))
         sums[top] += empirical

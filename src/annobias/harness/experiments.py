@@ -29,7 +29,7 @@ from ..core import LabelDistribution, _validated_rows
 from ..correction import (
     CorrectionParams,
     _check_cb_input,
-    estimate_transition_matrix,
+    _estimate_transitions,
     repair_labels,
 )
 from ..metrics import (
@@ -51,7 +51,6 @@ from .formats import (
     _log_rows,
     _read_json,
     _write_table,
-    acceptance_records_from_log,
     load_acceptance_log,
     load_dataset,
     load_transition_matrix,
@@ -127,11 +126,8 @@ def _resolve_transitions(
             "estimating a transition matrix is stochastic: provide a seed "
             "or a transitions file"
         )
-    return estimate_transition_matrix(
-        [img.gt for img in dataset.images],
-        rng=substream(int(seed), "transition-estimation"),
-        **sizes,
-    )
+    rng = substream(int(seed), "transition-estimation")
+    return _estimate_transitions(dataset.probs, rng=rng, **sizes)
 
 
 def _proposal_source(dataset) -> str:
@@ -293,13 +289,15 @@ def run_strategy_comparison(
     """
     dataset = load_dataset(cfg.dataset)
     entries = load_acceptance_log(log_path, dataset.meta)
-    _log_rows(log_path, entries, dataset)  # names the line of an unknown image id
-    records = acceptance_records_from_log(entries, dataset.gt_by_id())
-    if not records:
+    if not entries:
         raise FormatError(f"{log_path}: log contains no entries")
+    # load_dataset checked the soft labels, load_acceptance_log each class's range
+    rows = _log_rows(log_path, entries, dataset)
+    ids, *classes = zip(*entries)
+    group = (np.arange(len(ids)), dataset.probs[rows], *np.array(classes, np.int64))
     sim = _effective_sim_params(cfg, dataset.meta)
-    rows = _compare(records, tuple(Strategy), sim, repetitions, cfg.seed)
-    return sorted(rows, key=lambda r: (r.mean, r.strategy.name))
+    ranked = _compare(ids, [group], tuple(Strategy), sim, repetitions, cfg.seed)
+    return sorted(ranked, key=lambda r: (r.mean, r.strategy.name))
 
 
 def run_calibration(

@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 import statistics
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -164,9 +166,28 @@ def build_bin_matrix(records: Sequence[AcceptanceRecord]) -> BinMatrix:
     """Tally records by (proposed-class bin, annotated-class bin)."""
     if not records:
         raise ValueError("cannot build a bin matrix from zero records")
-    bins = _bins([(r.gt.probs[r.proposal], r.gt.probs[r.annotated]) for r in records])
-    cells = np.bincount(NUM_BINS * bins[:, 0] + bins[:, 1], minlength=NUM_BINS**2)
+    groups = _columns(records)[1]
+    cells = sum(_bin_cells(_bins(probs), *classes) for _, probs, *classes in groups)
     return BinMatrix(cells.reshape(NUM_BINS, NUM_BINS))
+
+
+def _bin_cells(bins: np.ndarray, proposals, annotated) -> np.ndarray:
+    """Flat (proposed-class bin, annotated-class bin) tally of rows ``bins[m, K]``."""
+    rows = np.arange(len(bins))
+    pairs = NUM_BINS * bins[rows, proposals] + bins[rows, annotated]
+    return np.bincount(pairs, minlength=NUM_BINS * NUM_BINS)
+
+
+def _columns(records: Sequence[AcceptanceRecord]):
+    """Records as :func:`_compare` reads them: their image ids, and per class
+    count one group ``(index, probs[m, K], proposals[m], annotated[m])``."""
+    rows = [(rec.gt.num_classes, rec.proposal, rec.annotated) for rec in records]
+    sizes, proposals, annotated = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+    return [rec.image_id for rec in records], [
+        (i, np.stack([records[j].gt.probs for j in i]), proposals[i], annotated[i])
+        for i in groups
+    ]
 
 
 def sod(m_r: BinMatrix, m_s: BinMatrix, normalized: bool = False) -> float:
@@ -233,27 +254,23 @@ def compare_strategies(
     in one batch (:func:`~annobias.rng.uniforms`), bit-identical to one
     :func:`~annobias.rng.substream` per draw.
     """
-    return _compare(records, (strategy,), p, repetitions, seed)[0]
+    return _compare(*_columns(records), (strategy,), p, repetitions, seed)[0]
 
 
-def _compare(records, strategies, p, repetitions, seed) -> list:
-    """:func:`compare_strategies` of each of ``strategies``, in order.
+def _compare(ids, groups, strategies, p, repetitions, seed) -> list:
+    """:func:`compare_strategies` of each of ``strategies``, in order, on the
+    records' image ``ids`` and their ``groups`` as :func:`_columns` makes them.
 
     The streams do not depend on the strategy, so they are derived once,
     and so is the real log's bin matrix.
     """
-    if not records:
+    if not ids:
         raise ValueError("need at least one record")
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    m_real = build_bin_matrix(records)
 
-    ordinals = {}
-    keyed = []
-    for rec in records:
-        ordinal = ordinals.get(rec.image_id, 0)
-        ordinals[rec.image_id] = ordinal + 1
-        keyed.append((rec.image_id, ordinal))
+    ordinals = defaultdict(count)  # image id -> its records so far
+    keyed = [(image_id, next(ordinals[image_id])) for image_id in ids]
     streams = (
         ("strategy-comparison", image_id, ordinal, rep)
         for rep in range(repetitions)
@@ -263,30 +280,20 @@ def _compare(records, strategies, p, repetitions, seed) -> list:
 
     # every repetition re-annotates every record once; records with the
     # same class count run through the engine together
-    n = len(records)
-    sizes = np.array([rec.gt.num_classes for rec in records])
+    real = np.zeros(NUM_BINS * NUM_BINS, np.int64)
     cells = np.zeros((len(strategies), repetitions, NUM_BINS * NUM_BINS), np.int64)
-    for k in np.flatnonzero(np.bincount(sizes)):
-        group = np.flatnonzero(sizes == k)
-        probs = np.stack([records[i].gt.probs for i in group])
-        proposals = np.array([records[i].proposal for i in group], dtype=np.int64)
+    for index, probs, proposals, annotated in groups:
         rep_probs = np.tile(probs, (repetitions, 1))
         rep_proposals = np.tile(proposals, repetitions)
-        rep_draws = draws[(n * np.arange(repetitions)[:, None] + group).ravel()]
-        annotated = [
-            _draw_classes(strategy, rep_probs, rep_proposals, 1, p, rep_draws).reshape(
-                repetitions, group.size
-            )
-            for strategy in strategies
-        ]
-
+        rep_draws = draws[(len(ids) * np.arange(repetitions)[:, None] + index).ravel()]
         bins = _bins(probs)
-        rows = np.arange(group.size)
-        row_bins = NUM_BINS * bins[rows, proposals]
-        for counts, classes in zip(cells, annotated):
-            for rep, c in enumerate(row_bins + bins[rows, classes]):
-                counts[rep] += np.bincount(c, minlength=NUM_BINS * NUM_BINS)
+        real += _bin_cells(bins, proposals, annotated)
+        for strategy, counts in zip(strategies, cells):
+            drawn = _draw_classes(strategy, rep_probs, rep_proposals, 1, p, rep_draws)
+            drawn = drawn.reshape(repetitions, -1)
+            counts += [_bin_cells(bins, proposals, classes) for classes in drawn]
 
+    m_real = BinMatrix(real.reshape(NUM_BINS, NUM_BINS))
     out = []
     for strategy, counts in zip(strategies, cells):
         sods = [
