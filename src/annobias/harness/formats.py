@@ -21,13 +21,13 @@ float representation), so saving what was loaded is byte-stable.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -167,11 +167,14 @@ def _write_table(path, header: Sequence, rows) -> None:
     Fields holding a separator, quote or line break are quoted; floats
     are written as ``repr``, the shortest form that reads back exactly.
     """
-    buf = io.StringIO()  # a row that fails leaves no half-written file
-    writer = csv.writer(buf, lineterminator="\n")
+    # every row is formatted before the file is opened, so a row that
+    # fails leaves no file; the rows are written one by one, never joined
+    lines = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    Path(path).write_text(buf.getvalue(), encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(lines)
 
 
 @dataclass(frozen=True)
@@ -397,8 +400,11 @@ def load_dataset(path) -> Dataset:
     n = len(index)
     ann = _load_annotations(ann_path, meta, index) if ann_path.exists() else ((), ())
     if probs is not None and len(index) > n:
-        orphan = min(list(index)[n:])
-        raise FormatError(f"{ann_path}: image_id {orphan!r} not present in {GT_NAME}")
+        # ids past gt.csv's were added in annotations.csv order, so row n
+        # is the first orphan in that file
+        line = _line_of(ann_path, _ANNOTATIONS_HEADER, ann[0].index(n))
+        orphan = next(islice(index, n, None))
+        raise FormatError(f"{ann_path}:{line}: image_id {orphan!r} not present in {GT_NAME}")
     dataset = Dataset.__new__(Dataset)
     dataset._fill(meta, index, probs, proposals, *ann)
     return dataset
@@ -473,9 +479,15 @@ def _log_rows(path, entries: Sequence[LogEntry], dataset: Dataset) -> np.ndarray
     rows = [dataset._rows.get(e.image_id, -1) for e in entries]
     if -1 in rows:
         i = rows.index(-1)
-        line = next(islice(_table(Path(path), _LOG_HEADER), i, None), "?")[0]
+        line = _line_of(Path(path), _LOG_HEADER, i)
         raise FormatError(f"{path}:{line}: {_unknown_image(entries[i].image_id)}")
     return np.array(rows, dtype=np.int64)
+
+
+def _line_of(path: Path, header: list, i: int):
+    """The line of row ``i`` of a table, found by reading it again; ``"?"``
+    if the file no longer has that row."""
+    return next(islice(_table(path, header), i, None), "?")[0]
 
 
 def two_proposal_records_from_log(

@@ -6,16 +6,18 @@ are hashed with SHA-256 rather than the process-salted builtin ``hash`` so
 the same key yields the same stream in every interpreter run.
 
 :func:`substream` builds one numpy generator per key.  :func:`uniforms`
-derives the first uniforms of many such streams at once: it reproduces
-numpy's ``SeedSequence`` entropy mix and ``PCG64`` (XSL-RR) output over
-arrays of rows, so row ``i`` equals ``substream(seed, *keys[i]).random(m)``
-bit for bit.
+derives the first uniforms of many such streams at once: it maps the
+components at each key position to ``SeedSequence`` entropy words, hashing
+each distinct one once, then reproduces numpy's ``SeedSequence`` entropy
+mix and ``PCG64`` (XSL-RR) output over arrays of rows, so row ``i`` equals
+``substream(seed, *keys[i]).random(m)`` bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from itertools import islice
+import struct
+from itertools import chain, islice
 
 import numpy as np
 
@@ -27,6 +29,8 @@ _MASK32 = (1 << 32) - 1
 _CACHED_KEY_TYPES = frozenset((str, bytes, int))
 # rows derived per batch by uniforms(); bounds its temporary arrays
 _CHUNK_ROWS = 2048
+# a SHA-256 digest as four little-endian 64-bit words
+_FOUR_WORDS = struct.Struct("<4Q")
 
 # numpy.random.SeedSequence constants (pool of four uint32 words)
 _POOL_SIZE = 4
@@ -52,15 +56,12 @@ def key_words(key) -> tuple:
     Integers pass through (masked to 64 bits); strings and bytes are hashed
     with SHA-256 and split into four words.  Nested tuples/lists flatten.
     """
-    if isinstance(key, (int, np.integer)):
-        return (int(key) & _MASK64,)
     if isinstance(key, str):
         key = key.encode("utf-8")
     if isinstance(key, (bytes, bytearray)):
-        digest = hashlib.sha256(bytes(key)).digest()
-        return tuple(
-            int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)
-        )
+        return _FOUR_WORDS.unpack(hashlib.sha256(bytes(key)).digest())
+    if isinstance(key, (int, np.integer)):
+        return (int(key) & _MASK64,)
     if isinstance(key, (tuple, list)):
         words = []
         for part in key:
@@ -83,43 +84,116 @@ def uniforms(seed: int, keys, m: int) -> np.ndarray:
 
     Row ``i`` is bit-identical to ``substream(seed, *keys[i]).random(m)``.
     ``keys`` may be any iterable of key tuples; it is consumed in chunks
-    so the working set stays small.  Each distinct str, bytes or int key
-    component is mapped to its words once per call.
+    so the working set stays small.  A chunk is derived key position by
+    key position, and each distinct str, bytes or int key component is
+    hashed once per call.
     """
-    head = int(seed) & _MASK64
-    cache = {}
+    table = _KeyTable(int(seed) & _MASK64)
     rows = iter(keys)
     chunks = []
     while chunk := list(islice(rows, _CHUNK_ROWS)):
-        chunks.append(_chunk_uniforms(head, chunk, m, cache))
+        chunks.append(_chunk_uniforms(chunk, m, table))
     return np.concatenate(chunks) if chunks else np.empty((0, m))
 
 
-def _chunk_uniforms(head: int, keys: list, m: int, cache: dict) -> np.ndarray:
-    """:func:`uniforms` of one chunk; ``cache`` maps key components to words."""
-    words, starts = [], []
-    for row in keys:
-        starts.append(len(words))
-        words.append(head)
-        for key in row:
-            cached = type(key) in _CACHED_KEY_TYPES
-            found = cache.get(key) if cached else None
-            if found is None:
-                found = key_words(key)
-                if cached:
-                    cache[key] = found
-            words.extend(found)
-
-    entropy, sizes = _entropy_words(words)
-    lengths = np.add.reduceat(sizes, starts)
-    offsets = np.cumsum(lengths) - lengths
-
+def _chunk_uniforms(keys: list, m: int, table: _KeyTable) -> np.ndarray:
+    """:func:`uniforms` of one chunk of key tuples, one width at a time."""
     out = np.empty((len(keys), m), dtype=np.float64)
-    for length in np.flatnonzero(np.bincount(lengths)):
-        rows = np.flatnonzero(lengths == length)
-        block = entropy[offsets[rows, None] + np.arange(length)]
-        out[rows] = _pcg64_uniforms(_seed_state(block), m)
+    widths = np.fromiter(map(len, keys), np.intp, len(keys))
+    for width in np.flatnonzero(np.bincount(widths)):
+        rows = np.flatnonzero(widths == width)
+        group = keys if len(rows) == len(keys) else [keys[i] for i in rows]
+        # column 0 is the seed's code; column j codes key position j - 1
+        codes = np.zeros((len(rows), width + 1), dtype=np.intp)
+        for j, column in enumerate(zip(*group), 1):
+            codes[:, j] = table.codes(column)
+        for sel, entropy in table.entropy_blocks(codes):
+            out[rows[sel]] = _pcg64_uniforms(_seed_state(entropy), m)
     return out
+
+
+class _KeyTable(dict):
+    """The seed entropy of the key components of one :func:`uniforms` call.
+
+    Code ``c`` owns the uint32 entropy words
+    ``entropy[bounds[c]:bounds[c + 1]]``; code 0 is the seed.  The dict
+    maps each distinct str, bytes or int component to its code.  A key
+    position holding any other type gets a new code for every component,
+    so ``1.0`` after ``1`` still meets :func:`key_words` and raises.
+    """
+
+    def __init__(self, head: int):
+        super().__init__()
+        self.entropy = np.empty(0, dtype=np.uint32)
+        self.bounds = np.zeros(1, dtype=np.intp)
+        self.split = 0  # codes whose words are split into entropy
+        self.pending = [(head,)]  # 64-bit words of each code not yet split
+
+    def __missing__(self, key) -> int:
+        code = self[key] = self.add(key)
+        return code
+
+    def add(self, key) -> int:
+        """A new code for ``key``; its words are split on the next gather."""
+        self.pending.append(key_words(key))
+        return self.split + len(self.pending) - 1
+
+    def codes(self, column) -> np.ndarray:
+        """The code of each component at one key position."""
+        lookup = self.__getitem__
+        if not set(map(type, column)) <= _CACHED_KEY_TYPES:
+            lookup = self.add
+        return np.fromiter(map(lookup, column), np.intp, len(column))
+
+    def entropy_blocks(self, codes: np.ndarray):
+        """Yield ``(rows, entropy)``: rows of ``codes`` (an index or a slice)
+        and their entropy words, their codes' in order, as ``uint32[n, L]``.
+
+        Rows are grouped by the number of words each code contributes;
+        a chunk usually has one such profile.
+        """
+        self._split_pending()
+        starts = self.bounds[codes]
+        sizes = self.bounds[codes + 1] - starts
+        if (sizes == sizes[0]).all():
+            groups = [(slice(None), sizes[0])]
+        else:
+            profiles, group = np.unique(sizes, axis=0, return_inverse=True)
+            group = group.ravel()
+            groups = [(np.flatnonzero(group == g), p) for g, p in enumerate(profiles)]
+        for rows, profile in groups:
+            firsts = starts[rows]
+            block = np.empty((len(firsts), profile.sum()), dtype=np.uint32)
+            at = 0
+            for j, size in enumerate(profile.tolist()):
+                block[:, at : at + size] = self.entropy[firsts[:, j, None] + np.arange(size)]
+                at += size
+            yield rows, block
+
+    def _split_pending(self):
+        """Append the entropy words of the codes added since the last split."""
+        if not self.pending:
+            return
+        entropy, sizes = _entropy_words(list(chain.from_iterable(self.pending)))
+        # a code's words end where its last 64-bit word's do; a code may
+        # have no words (an empty tuple key)
+        counts = np.fromiter(map(len, self.pending), np.intp, len(self.pending))
+        ends = np.cumsum(np.concatenate(([0], sizes)))[np.cumsum(counts)]
+        used = self.bounds[self.split]
+        self.entropy = _append(self.entropy, used, entropy)
+        self.bounds = _append(self.bounds, self.split + 1, used + ends)
+        self.split += len(self.pending)
+        self.pending = []
+
+
+def _append(array: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
+    """``array`` with ``values`` stored after its first ``used`` entries,
+    doubling its length when it has no room."""
+    end = used + len(values)
+    if end > len(array):
+        array = np.resize(array, max(end, 2 * len(array)))
+    array[used:end] = values
+    return array
 
 
 def _entropy_words(words: list):

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from annobias.harness.formats import (
     ImageRecord,
     LogEntry,
     TransitionMatrixFile,
+    _write_table,
     save_acceptance_log,
     save_dataset,
     save_transition_matrix,
@@ -80,6 +82,37 @@ def test_output_tables_quote_ids(quoted_inputs, tmp_path):
         _table(out / name)
     header, rows = _table(out / "repaired.csv")
     assert [row[0] for row in rows] == list(IDS)
+
+
+def test_table_writer_holds_about_one_copy_of_the_text(tmp_path):
+    # 1 000 rows of 100 floats, about 2 MB of text
+    gen = np.random.default_rng(0)
+    rows = [[f"img{i}", *gen.random(100).tolist()] for i in range(1000)]
+    header = ["image_id", *(f"p_{j}" for j in range(100))]
+    path = tmp_path / "wide.csv"
+    tracemalloc.start()
+    try:
+        _write_table(path, header, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * path.stat().st_size
+
+
+def test_a_failing_row_leaves_no_file_and_keeps_an_old_one(tmp_path):
+    meta = DatasetMeta(("a", "b", "c"))
+    entries = [LogEntry(f"im{i}", i % 3, 0) for i in range(50)]
+    entries[30] = LogEntry("im30", 7, 0)  # no class 7: name_of raises mid-table
+    path = tmp_path / "log.csv"
+    with pytest.raises(IndexError, match="class index 7"):
+        save_acceptance_log(entries, path, meta)
+    assert not path.exists()
+
+    save_acceptance_log(entries[:30], path, meta)
+    before = path.read_bytes()
+    with pytest.raises(IndexError, match="class index 7"):
+        save_acceptance_log(entries, path, meta)
+    assert path.read_bytes() == before
 
 
 def _config(dataset_dir, **overrides):

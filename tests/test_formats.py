@@ -269,6 +269,18 @@ class TestDatasetErrors:
         with pytest.raises(FormatError, match="'ghost' not present in gt.csv"):
             load_dataset(root)
 
+    def test_first_orphan_annotation_in_file_order_reports_line(self, tmp_path):
+        root = tmp_path / "d"
+        _write_meta(root)
+        _write_gt(root, ["image_id,p_0,p_1,p_2", "img1,0.5,0.3,0.2"])
+        _write_annotations(
+            root,
+            ["image_id,annotator_idx,class", "img1,0,a", "zed,0,b", "alpha,0,a", "zed,1,c"],
+        )
+        match = r"annotations\.csv:3: image_id 'zed' not present in gt\.csv"
+        with pytest.raises(FormatError, match=match):
+            load_dataset(root)
+
     def test_dataset_rejects_duplicate_images(self):
         img = ImageRecord("x", LabelDistribution([1.0, 0.0]), None, (), None)
         with pytest.raises(FormatError, match="duplicate image_id"):

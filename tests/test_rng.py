@@ -87,6 +87,23 @@ def test_mixed_entropy_lengths_in_one_call(monkeypatch):
     assert uniforms(0, [], 3).shape == (0, 3)
 
 
+@pytest.mark.parametrize("chunk_rows", [rng._CHUNK_ROWS, 2], ids=["default", "small"])
+def test_key_positions_of_mixed_widths_and_entropy_lengths(monkeypatch, chunk_rows):
+    monkeypatch.setattr(rng, "_CHUNK_ROWS", chunk_rows)
+    # one- and two-word ints and a hashed string share key positions, on
+    # their own (memoized) and next to a nested tuple (not memoized);
+    # rows of widths 0, 1, 3 and 4 alternate within a chunk
+    atoms = [0, 2**32 - 1, 2**40, -1, "img"]
+    mixed = [*atoms, ("img", (2**40, [0, -1]))]
+    rows = []
+    for i, key in enumerate(mixed):
+        rows += [("purpose", key, atoms[i % 5]), (key,)]
+        rows += [("purpose", atoms[-1 - i % 5], i, key), ()]
+    for seed in (0, 2**64 - 1):
+        got = uniforms(seed, rows, 4)
+        assert np.array_equal(got, _reference(seed, rows, 4))
+
+
 def test_uniforms_reject_what_substream_rejects():
     with pytest.raises(TypeError):
         substream(0, 1.0)
