@@ -37,6 +37,7 @@ from .experiments import (
 from .formats import (
     TransitionMatrixFile,
     _dump_json,
+    _float_texts,
     _gt_header,
     _write_table,
     load_dataset,
@@ -233,7 +234,7 @@ def _cmd_correct(args) -> int:
     dataset, repaired = _repaired(
         args.dataset, args.transitions, args.seed, *params, **stages
     )
-    rows = ([i] + probs.tolist() for i, probs in zip(dataset.ids, repaired))
+    rows = ([i, *texts] for i, texts in zip(dataset.ids, _float_texts(repaired)))
     _write_table(args.out, _gt_header(dataset.num_classes), rows)
     print(args.out)
     return 0

@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -76,6 +75,8 @@ _LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
 
 # rows parsed, validated and repaired together; bounds the temporaries
 _BLOCK_ROWS = 128
+# float cells formatted together; bounds the distinct strings held at once
+_CHUNK_CELLS = 2**16
 
 
 class FormatError(ValueError):
@@ -161,18 +162,44 @@ def _table(path: Path, header: list, optional: Optional[str] = None):
             raise FormatError(f"{path}:{reader.line_num}: {e}") from e
 
 
-def _write_table(path, header: Sequence, rows) -> None:
-    """Write a standard CSV table with ``\\n`` line ends.
+def _float_texts(values):
+    """Each row of ``float64[N, K]`` ``values`` as the ``repr`` of its cells,
+    taken once per distinct bit pattern (``0.0`` and ``-0.0`` differ) in each
+    chunk of at most ``_CHUNK_CELLS`` cells or one row."""
+    step = max(1, _CHUNK_CELLS // max(values.shape[1], 1))
+    for lo in range(0, len(values), step):
+        chunk = values[lo : lo + step]
+        # a 1-D input gives a 1-D inverse on every numpy version
+        bits, inverse = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
+        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        yield from texts[inverse].reshape(chunk.shape).tolist()
 
-    Fields holding a separator, quote or line break are quoted; floats
-    are written as ``repr``, the shortest form that reads back exactly.
+
+def _csv_line(fields: Sequence) -> str:
+    try:
+        line = ",".join(fields)
+    except TypeError:  # a field that is not text
+        fields = [repr(f) if isinstance(f, float) else str(f) for f in fields]
+        line = ",".join(fields)
+    # some field holds a quote, a line break or a comma of its own
+    if '"' in line or "\r" in line or "\n" in line or line.count(",") >= len(fields):
+        line = ",".join(
+            '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f
+            for f in fields
+        )
+    return line + "\n" if line or len(fields) != 1 else '""\n'
+
+
+def _write_table(path, header: Sequence, rows) -> None:
+    """Write a CSV table with ``\\n`` line ends, one line per field sequence.
+
+    Floats are written as ``repr``, the shortest form that reads back exactly.
+    A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, each ``"``
+    doubled, and a lone empty field is ``""``: every field reads back as is.
     """
     # every row is formatted before the file is opened, so a row that
     # fails leaves no file; the rows are written one by one, never joined
-    lines = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    lines = [_csv_line(header), *map(_csv_line, rows)]
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.writelines(lines)
 
@@ -418,23 +445,20 @@ def save_dataset(dataset: Dataset, path) -> None:
     _dump_json(asdict(meta), root / META_NAME)
 
     header = _gt_header(meta.num_classes)
-    rows = [[img.image_id] + img.gt.probs.tolist() for img in dataset.images]
-    if any(img.proposal is not None for img in dataset.images):
+    rows = ([i, *texts] for i, texts in zip(dataset.ids, _float_texts(dataset.probs)))
+    if (dataset.proposals >= 0).any():
         header.append("proposal")
-        for row, img in zip(rows, dataset.images):
-            row.append("" if img.proposal is None else meta.name_of(img.proposal))
+        names = ("" if p < 0 else meta.name_of(p) for p in dataset.proposals.tolist())
+        rows = ([*row, name] for row, name in zip(rows, names))
     _write_table(root / GT_NAME, header, rows)
 
-    if any(img.annotation_classes for img in dataset.images):
-        _write_table(
-            root / ANNOTATIONS_NAME,
-            _ANNOTATIONS_HEADER,
-            (
-                [img.image_id, idx, meta.name_of(cls)]
-                for img in dataset.images
-                for idx, cls in enumerate(img.annotation_classes)
-            ),
-        )
+    if dataset.classes.size:
+        # the image row of each annotation and its index within that image
+        image = np.repeat(np.arange(len(dataset.ids)), np.diff(dataset.offsets))
+        position = (np.arange(image.size) - dataset.offsets[image]).tolist()
+        names = map(meta.name_of, dataset.classes.tolist())
+        rows = zip(map(dataset.ids.__getitem__, image.tolist()), position, names)
+        _write_table(root / ANNOTATIONS_NAME, _ANNOTATIONS_HEADER, rows)
 
 
 def load_acceptance_log(path, meta: DatasetMeta):

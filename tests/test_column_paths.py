@@ -109,6 +109,17 @@ def test_column_commands_never_build_the_images_view(command, paths, view_builds
     assert view_builds == []
 
 
+@pytest.mark.parametrize("name", ["campaign", "annotated"])
+def test_save_dataset_writes_from_the_columns(paths, view_builds, name):
+    loaded = load_dataset(paths / name)
+    save_dataset(loaded, paths / "copy")
+    assert view_builds == []
+    files = sorted(f.name for f in (paths / name).iterdir())
+    assert sorted(f.name for f in (paths / "copy").iterdir()) == files
+    for file in files:
+        assert (paths / "copy" / file).read_bytes() == (paths / name / file).read_bytes()
+
+
 def test_the_build_counter_sees_simulate_build_the_view(paths, view_builds):
     # simulate still draws through per-image records, so the count is live
     argv = ["simulate", "--dataset", "{annotated}", "--seed", "1", "--out", "{out}"]

@@ -2,11 +2,14 @@
 
 import csv
 import json
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annobias import DatasetMeta, LabelDistribution
 from annobias.harness.cli import main
@@ -17,7 +20,9 @@ from annobias.harness.formats import (
     ImageRecord,
     LogEntry,
     TransitionMatrixFile,
+    _float_texts,
     _write_table,
+    load_dataset,
     save_acceptance_log,
     save_dataset,
     save_transition_matrix,
@@ -97,6 +102,115 @@ def test_table_writer_holds_about_one_copy_of_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * path.stat().st_size
+
+
+# str fields hold every character that can need quoting, and non-ASCII text
+_FIELDS = st.one_of(
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "雪"]), max_size=6),
+    st.integers(),
+    st.sampled_from(
+        [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 1e-4]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_FIELDS, max_size=5), min_size=1, max_size=6))
+def test_table_writer_matches_csv_writer_and_reads_back(tmp_path_factory, table):
+    header, *rows = table
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    _write_table(path, header, rows)
+    with open(path, encoding="utf-8", newline="") as f:
+        got = list(csv.reader(f))
+    texts = [[repr(v) if isinstance(v, float) else str(v) for v in row] for row in table]
+    assert got == texts
+    if not any("\r" in text for row in texts for text in row):
+        # csv.writer leaves a field holding a bare "\r" unquoted
+        want = path.with_name("want.csv")
+        with open(want, "w", encoding="utf-8", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(table)
+        assert path.read_bytes() == want.read_bytes()
+
+
+def _reprs(values):
+    return [list(map(repr, row)) for row in values.tolist()]
+
+
+def _pooled(shape, seed=0):
+    """Floats drawn from a pool of 50 with both signs, so chunks repeat them."""
+    gen = np.random.default_rng(seed)
+    return gen.choice(gen.standard_normal(50), size=shape)
+
+
+SPECIALS = np.array(
+    [
+        [0.0, -0.0, math.nan, math.inf],
+        [-math.inf, -0.0, 0.0, -math.nan],
+        [5e-324, 1e16, 1e-5, 1e-4],
+    ]
+)
+FLOAT_TABLES = {
+    "several-chunks": _pooled((30_000, 7)),
+    "distinct-chunks": np.random.default_rng(1).random((20_000, 7)),
+    "row-wider-than-a-chunk": _pooled((2, 2**16 + 3)),
+    "signed-zeros-nan-inf": SPECIALS,
+    "no-rows": np.empty((0, 5)),
+    "no-columns": np.empty((3, 0)),
+}
+
+
+@pytest.mark.parametrize("values", FLOAT_TABLES.values(), ids=FLOAT_TABLES.keys())
+def test_float_texts_equal_repr_of_every_cell(values):
+    assert list(_float_texts(values)) == _reprs(values)
+
+
+def _write_excess(tmp_path, n):
+    """Traced peak minus file size of writing ``n`` rows of 100 distinct floats
+    through the float formatter."""
+    values = np.random.default_rng(n).random((n, 100))
+    ids = [f"img{i}" for i in range(n)]
+    path = tmp_path / f"{n}.csv"
+    tracemalloc.start()
+    try:
+        rows = ([i, *texts] for i, texts in zip(ids, _float_texts(values)))
+        _write_table(path, ["image_id", *(f"p_{j}" for j in range(100))], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - path.stat().st_size
+
+
+def test_float_formatter_holds_the_strings_of_one_chunk(tmp_path):
+    # all-distinct cells: one string per cell of a chunk, never of the table
+    assert _write_excess(tmp_path, 8000) < 2 * _write_excess(tmp_path, 1000)
+
+
+@pytest.mark.parametrize("image_id", ["x\ry", "x\r\ny"], ids=["cr", "crlf"])
+def test_ids_with_carriage_returns_round_trip(tmp_path, image_id):
+    ds_dir = tmp_path / "ds"
+    ds_dir.mkdir()
+    (ds_dir / "meta.json").write_text('{"class_names": ["a", "b"]}', encoding="utf-8")
+    quoted = f'"{image_id}"'
+    (ds_dir / "gt.csv").write_bytes(
+        f"image_id,p_0,p_1,proposal\n{quoted},0.25,0.75,b\nplain,0.5,0.5,a\n".encode()
+    )
+    (ds_dir / "annotations.csv").write_bytes(
+        f"image_id,annotator_idx,class\n{quoted},0,b\n{quoted},1,a\nplain,0,a\n".encode()
+    )
+    first = load_dataset(ds_dir)
+    save_dataset(first, tmp_path / "copy")
+    again = load_dataset(tmp_path / "copy")
+    assert again.ids == first.ids == (image_id, "plain")
+    for column in ("probs", "proposals", "classes", "offsets"):
+        np.testing.assert_array_equal(getattr(again, column), getattr(first, column))
+
+    matrix = tmp_path / "identity.json"
+    save_transition_matrix(TransitionMatrixFile(tuple(map(tuple, np.eye(2)))), matrix)
+    out = tmp_path / "repaired.csv"
+    argv = ["--dataset", str(tmp_path / "copy"), "--transitions", str(matrix)]
+    assert main(["correct", *argv, "--out", str(out)]) == 0
+    header, rows = _table(out)
+    assert [row[0] for row in rows] == [image_id, "plain"]
 
 
 def test_a_failing_row_leaves_no_file_and_keeps_an_old_one(tmp_path):
