@@ -132,28 +132,23 @@ def test_table_writer_matches_csv_writer_and_reads_back(tmp_path_factory, table)
         assert path.read_bytes() == want.read_bytes()
 
 
-def _reprs(values):
-    return [list(map(repr, row)) for row in values.tolist()]
-
-
 def _pooled(shape, seed=0):
     """Floats drawn from a pool of 50 with both signs, so chunks repeat them."""
     gen = np.random.default_rng(seed)
     return gen.choice(gen.standard_normal(50), size=shape)
 
 
-SPECIALS = np.array(
-    [
-        [0.0, -0.0, math.nan, math.inf],
-        [-math.inf, -0.0, 0.0, -math.nan],
-        [5e-324, 1e16, 1e-5, 1e-4],
-    ]
-)
 FLOAT_TABLES = {
     "several-chunks": _pooled((30_000, 7)),
     "distinct-chunks": np.random.default_rng(1).random((20_000, 7)),
     "row-wider-than-a-chunk": _pooled((2, 2**16 + 3)),
-    "signed-zeros-nan-inf": SPECIALS,
+    "signed-zeros-nan-inf": np.array(
+        [
+            [0.0, -0.0, math.nan, math.inf],
+            [-math.inf, -0.0, 0.0, -math.nan],
+            [5e-324, 1e16, 1e-5, 1e-4],
+        ]
+    ),
     "no-rows": np.empty((0, 5)),
     "no-columns": np.empty((3, 0)),
 }
@@ -161,7 +156,7 @@ FLOAT_TABLES = {
 
 @pytest.mark.parametrize("values", FLOAT_TABLES.values(), ids=FLOAT_TABLES.keys())
 def test_float_texts_equal_repr_of_every_cell(values):
-    assert list(_float_texts(values)) == _reprs(values)
+    assert list(_float_texts(values)) == [list(map(repr, r)) for r in values.tolist()]
 
 
 def _write_excess(tmp_path, n):
@@ -209,7 +204,7 @@ def test_ids_with_carriage_returns_round_trip(tmp_path, image_id):
     out = tmp_path / "repaired.csv"
     argv = ["--dataset", str(tmp_path / "copy"), "--transitions", str(matrix)]
     assert main(["correct", *argv, "--out", str(out)]) == 0
-    header, rows = _table(out)
+    _, rows = _table(out)
     assert [row[0] for row in rows] == [image_id, "plain"]
 
 
