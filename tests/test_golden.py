@@ -192,6 +192,48 @@ CORRECT_ESTIMATED = (
     "49311053aebad120f523eda908511fac99b964db212faf0833ea42347c6d3edc"
 )
 
+# A two-round campaign on the same images: (image index, proposal,
+# annotated classes) per round, every first round logged before any second
+# round.  Images 1-4 hit the four extreme acceptance rates and image 7 has
+# no annotation outside its two proposals (a non-finite candidate).
+TWO_ROUNDS = (
+    ((0, 0, (0, 0, 1, 0)), (0, 1, (1, 0, 2, 1))),
+    ((1, 2, (2, 2, 2)), (1, 1, (1, 2))),
+    ((2, 3, (0, 1, 2)), (2, 0, (0, 3))),
+    ((3, 0, (0, 1, 0)), (3, 2, (2, 2))),
+    ((4, 2, (2, 3, 2, 1)), (4, 3, (2, 2, 1))),
+    ((5, 3, (3, 0, 3, 3, 2)), (5, 0, (0, 1, 0, 2, 3))),
+    ((6, 3, (3, 3, 0)), (6, 2, (2, 0, 1, 0))),
+    ((7, 0, (0, 3, 0)), (7, 3, (3, 0, 0))),
+    ((8, 1, (1, 1, 0, 2)), (8, 0, (0, 1, 2, 2))),
+    ((9, 2, (2, 1, 3)), (9, 1, (1, 3, 0))),
+)
+
+# calibrate's JSON report: the log and the flags, then the digest.  The
+# banded runs widen the band to (0.1, 0.6], which holds records of seven
+# images, two of them on an edge of the band.
+CALIBRATE = {
+    "banded-mean": (
+        ("log.csv", "--method", "banded", "--band", "0.1,0.6"),
+        "841fabd5e223ad5c3bdabe556a963630dc2fb521f8aa88da0e3d45bc8968e62a",
+    ),
+    "banded-median": (
+        ("log.csv", "--method", "banded", "--band", "0.1,0.6", "--aggregate", "median"),
+        "8edbea85e9e58660311ce3cb3d68a0aff4597cbb04b81f4f04e78f0847bc88df",
+    ),
+    "two-proposal": (
+        ("two_rounds.csv", "--method", "two-proposal"),
+        "4355fd1613354c7ef827356563772dd84bbceec51bfe016b00bf31d7f78daec8",
+    ),
+}
+
+# estimate-transitions' JSON file, per --n-images: above the pool of ten
+# images (drawn with replacement) and below it (a permutation)
+ESTIMATE_TRANSITIONS = {
+    25: "adc0760604c6d6eb88757a6a76886247ee677f0aeb7d06ee21c3ca8165e997cc",
+    7: "8f38f674c34e2c9dc3d2ea45d48406542eb09ce4e12a981ed8c8f18fcd75ee9c",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -208,6 +250,13 @@ def golden_dir(tmp_path_factory):
     save_dataset(Dataset(meta, images), root / "ds")
     entries = [LogEntry(f"img{i}", rho, ann) for i, rho, ann in LOG]
     save_acceptance_log(entries, root / "log.csv", meta)
+    two_rounds = [
+        LogEntry(f"img{i}", rho, ann)
+        for r in (0, 1)
+        for i, rho, annotated in (rounds[r] for rounds in TWO_ROUNDS)
+        for ann in annotated
+    ]
+    save_acceptance_log(two_rounds, root / "two_rounds.csv", meta)
 
     annotated = tuple(
         ImageRecord(
@@ -305,3 +354,36 @@ def test_compare_strategies_digest(golden_dir, tmp_path):
     ]
     assert main(argv) == 0
     assert _sha256(out) == COMPARE
+
+
+@pytest.mark.parametrize("run", sorted(CALIBRATE))
+def test_calibrate_digests(golden_dir, tmp_path, run):
+    (log, *flags), digest = CALIBRATE[run]
+    out = tmp_path / "calibration.json"
+    argv = [
+        "calibrate",
+        "--dataset", str(golden_dir / "ds"),
+        "--log", str(golden_dir / log),
+        *flags,
+        "--n-target", "1",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert _sha256(out) == digest
+
+
+@pytest.mark.parametrize("n_images", sorted(ESTIMATE_TRANSITIONS))
+def test_estimate_transitions_digests(golden_dir, tmp_path, monkeypatch, n_images):
+    # the file records the dataset path as given, so give it relative
+    monkeypatch.chdir(golden_dir)
+    out = tmp_path / "matrix.json"
+    argv = [
+        "estimate-transitions",
+        "--dataset", "ds",
+        "--seed", str(SEED),
+        "--n-images", str(n_images),
+        "--n-annos", "5",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    assert _sha256(out) == ESTIMATE_TRANSITIONS[n_images]
