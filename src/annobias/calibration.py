@@ -118,11 +118,6 @@ def delta_from_acceptance(
     return (a - upper_bound * p_gt) / (1.0 - p_gt)
 
 
-def _proposal_masses(records: Sequence[AcceptanceRecord]) -> np.ndarray:
-    """Ground-truth mass of each record's proposal."""
-    return np.array([rec.gt.probs[rec.proposal] for rec in records], dtype=np.float64)
-
-
 def estimate_delta_banded(
     records: Sequence[AcceptanceRecord],
     band: tuple = (0.2, 0.4),
@@ -141,14 +136,16 @@ def estimate_delta_banded(
     Fewer than ``n_target`` distinct in-band images triggers a warning,
     no in-band records at all is an error.
     """
+    masses = np.array([r.gt.probs[r.proposal] for r in records], dtype=np.float64)
+    accepted = np.array([r.accepted for r in records], dtype=bool)
     args = band, n_target, rescale, aggregate, upper_bound
-    return _fit_banded(records, _proposal_masses(records), *args)[0]
+    return _fit_banded(masses, accepted, [r.image_id for r in records], *args)[0]
 
 
-def _fit_banded(records, masses, band, n_target, rescale, aggregate, upper_bound):
-    """:func:`estimate_delta_banded` at the records' proposal ``masses``, and
-    the in-band records it used.  Any records with ``image_id``,
-    ``proposal`` and ``annotated`` fields will do, log entries too."""
+def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
+    """:func:`estimate_delta_banded` of the records with proposal ``masses``,
+    ``accepted`` flags and image ``keys``, and the in-band rows and set of
+    keys it used."""
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid band {band!r}")
@@ -163,19 +160,17 @@ def _fit_banded(records, masses, band, n_target, rescale, aggregate, upper_bound
             f"insufficient calibration data: no records with proposal mass in "
             f"({lo}, {hi}]"
         )
-    in_band = [records[i] for i in inside]
-    accepted = np.array([rec.annotated == rec.proposal for rec in in_band])
-    values = delta_from_acceptance(accepted, masses[inside], upper_bound).tolist()
-    image_ids = {rec.image_id for rec in in_band}
-    if len(image_ids) < n_target:
+    values = delta_from_acceptance(accepted[inside], masses[inside], ub).tolist()
+    images = {keys[i] for i in inside.tolist()}
+    if len(images) < n_target:
         warnings.warn(
-            f"only {len(image_ids)} in-band images (target {n_target}); "
+            f"only {len(images)} in-band images (target {n_target}); "
             f"estimate may be noisy",
             stacklevel=3,
         )
     agg = statistics.mean(values) if aggregate == "mean" else statistics.median(values)
     est = min(max(agg, 0.0), 1.0) * rescale
-    return min(max(est, 0.0), 1.0), in_band
+    return min(max(est, 0.0), 1.0), inside, images
 
 
 def two_proposal_candidates(

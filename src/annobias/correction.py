@@ -247,14 +247,14 @@ def _estimate_transitions(probs, n_images=100, n_annos=10, *, rng) -> Transition
     else:
         order = _uniform_index(len(probs), rng.random(n_images))
 
+    u = rng.random(order.size * n_annos)  # n_annos per sampled image, in turn
+    drawn = _draw_class(probs[order].repeat(n_annos, axis=0), u)
+    cells = np.arange(order.size).repeat(n_annos) * k + drawn
+    empirical = np.bincount(cells, minlength=order.size * k).reshape(-1, k) / n_annos
+    top = empirical.argmax(axis=1)
     sums = np.zeros((k, k), dtype=np.float64)
-    hits = np.zeros(k, dtype=np.int64)
-    for i in order:
-        counts = np.bincount(_draw_class(probs[i], rng.random(n_annos)), minlength=k)
-        empirical = counts / n_annos
-        top = int(np.argmax(empirical))
-        sums[top] += empirical
-        hits[top] += 1
+    np.add.at(sums, top, empirical)  # in sampled order, as a loop would add
+    hits = np.bincount(top, minlength=k)
 
     missing = np.flatnonzero(hits == 0)
     if missing.size:

@@ -48,7 +48,7 @@ from .formats import (
     _BLOCK_ROWS,
     FormatError,
     _dump_json,
-    _log_rows,
+    _join,
     _read_json,
     _write_table,
     load_acceptance_log,
@@ -232,18 +232,16 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     repaired and scored together.  A failing cell raises ``RuntimeError``
     naming the image of the first failing cell in image-major order.
     """
-    images = dataset.images
-    probs, given = dataset.probs, dataset.proposals
+    ids, probs, given = dataset.ids, dataset.probs, dataset.proposals
     proposals = np.where(given < 0, probs.argmax(axis=1), given)
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
 
-    def cells(i, j, n):
+    def cells(i, j, n, gts):
         params = replace(sim, repetitions=n)
         counts = np.empty((j - i, dataset.num_classes), dtype=np.int64)
-        for row in range(i, j):
-            img = images[row]
-            rng = substream(cfg.seed, "simulate", n, img.image_id) if reads else None
-            tally = simulate_strategy_set(strategy, img.gt, proposals[row], params, rng)
+        for row, gt in enumerate(gts, i):
+            rng = substream(cfg.seed, "simulate", n, ids[row]) if reads else None
+            tally = simulate_strategy_set(strategy, gt, proposals[row], params, rng)
             counts[row - i] = tally.counts
         raw = _validated_rows(counts / n)
         repaired = repair_labels(
@@ -258,7 +256,8 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
         return raw, repaired
 
     def block(i, j):
-        return [cells(i, j, n) for n in cfg.annotations]
+        gts = [LabelDistribution(p) for p in probs[i:j]]
+        return [cells(i, j, n, gts) for n in cfg.annotations]
 
     scores = {
         (n, variant, metric): []
@@ -266,7 +265,7 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
         for variant in _VARIANTS
         for metric in cfg.metrics
     }
-    for lo, hi, by_n in _by_block(block, dataset.ids):
+    for lo, hi, by_n in _by_block(block, ids):
         for n, dists in zip(cfg.annotations, by_n):
             for variant, dist in zip(_VARIANTS, dists):
                 for metric in cfg.metrics:
@@ -292,7 +291,7 @@ def run_strategy_comparison(
     if not entries:
         raise FormatError(f"{log_path}: log contains no entries")
     # load_dataset checked the soft labels, load_acceptance_log each class's range
-    rows = _log_rows(log_path, entries, dataset)
+    rows = _join(entries, dataset._rows, log_path)
     ids, *classes = zip(*entries)
     group = (np.arange(len(ids)), dataset.probs[rows], *np.array(classes, np.int64))
     sim = _effective_sim_params(cfg, dataset.meta)
@@ -325,13 +324,15 @@ def run_calibration(
     sim = _effective_sim_params(cfg, dataset.meta)
 
     if method == "banded":
-        proposals = np.array([e.proposal for e in entries], dtype=np.int64)
-        masses = dataset.probs[_log_rows(log_path, entries, dataset), proposals]
+        rows = _join(entries, dataset._rows, log_path)
+        proposals, annotated = np.array(list(zip(*entries))[1:], dtype=np.int64)
+        masses = dataset.probs[rows, proposals]
         occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
         occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
+        args = band, n_target, rescale, aggregate, sim.upper_bound
         try:
-            estimate, in_band = _fit_banded(
-                entries, masses, band, n_target, rescale, aggregate, sim.upper_bound
+            estimate, inside, images = _fit_banded(
+                masses, proposals == annotated, rows, *args
             )
         except CalibrationError as e:
             raise CalibrationError(
@@ -345,12 +346,15 @@ def run_calibration(
             "aggregate": aggregate,
             "upper_bound": sim.upper_bound,
             "n_records": len(entries),
-            "n_in_band_records": len(in_band),
-            "n_in_band_images": len({e.image_id for e in in_band}),
+            "n_in_band_records": inside.size,
+            "n_in_band_images": len(images),
             "occupancy": occupancy_by_bin,
         }
     if method == "two-proposal":
-        records = two_proposal_records_from_log(entries, dataset.num_classes)
+        try:
+            records = two_proposal_records_from_log(entries, dataset.num_classes)
+        except FormatError as e:
+            raise FormatError(f"{log_path}: {e}") from e
         raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)
         estimate, survivors = _median_below(raw, threshold)
         return {

@@ -253,6 +253,11 @@ class Dataset:
         rows = [i for i, img in enumerate(images) for _ in img.annotation_classes]
         classes = [c for img in images for c in img.annotation_classes]
         self._fill(meta, index, probs, proposals, rows, classes)
+        for img, counts in zip(images, self.counts):
+            if img.annotations is not None and (img.annotations.counts != counts).any():
+                raise FormatError(
+                    f"image {img.image_id!r}: annotation tally differs from its classes"
+                )
         self._images = images
 
     def _fill(self, meta, index, probs, proposals, rows, classes) -> None:
@@ -480,32 +485,24 @@ def save_acceptance_log(entries: Sequence[LogEntry], path, meta: DatasetMeta) ->
     _write_table(path, _LOG_HEADER, rows)
 
 
-def _unknown_image(image_id: str) -> str:
-    return f"acceptance log references unknown image_id {image_id!r}"
-
-
 def acceptance_records_from_log(
     entries: Sequence[LogEntry], gt_by_id: Mapping[str, LabelDistribution]
 ) -> list:
     """Join log entries with their images' soft labels."""
-    records = []
-    for e in entries:
-        gt = gt_by_id.get(e.image_id)
-        if gt is None:
-            raise FormatError(_unknown_image(e.image_id))
-        records.append(AcceptanceRecord(e.image_id, e.proposal, e.annotated, gt))
-    return records
+    gts = _join(entries, gt_by_id)
+    return [AcceptanceRecord(*e, gt) for e, gt in zip(entries, gts)]
 
 
-def _log_rows(path, entries: Sequence[LogEntry], dataset: Dataset) -> np.ndarray:
-    """The dataset row of each log entry read from ``path``.  An unknown image
-    id raises FormatError naming the log line, found by reading it again."""
-    rows = [dataset._rows.get(e.image_id, -1) for e in entries]
-    if -1 in rows:
-        i = rows.index(-1)
-        line = _line_of(Path(path), _LOG_HEADER, i)
-        raise FormatError(f"{path}:{line}: {_unknown_image(entries[i].image_id)}")
-    return np.array(rows, dtype=np.int64)
+def _join(entries: Sequence[LogEntry], by_id: Mapping, path=None) -> list:
+    """``by_id`` at each log entry's image id.  An unknown id raises FormatError,
+    naming its line of the log at ``path`` if one is given."""
+    try:
+        return [by_id[e.image_id] for e in entries]
+    except KeyError:
+        i = next(i for i, e in enumerate(entries) if e.image_id not in by_id)
+    at = "" if path is None else f"{path}:{_line_of(Path(path), _LOG_HEADER, i)}: "
+    image_id = entries[i].image_id
+    raise FormatError(f"{at}acceptance log references unknown image_id {image_id!r}")
 
 
 def _line_of(path: Path, header: list, i: int):

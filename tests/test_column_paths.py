@@ -88,6 +88,10 @@ _COLUMN_COMMANDS = {
         "estimate-transitions", "--dataset", "{annotated}", "--seed", "4",
         "--out", "{out}",
     ],
+    "simulate": [
+        "simulate", "--dataset", "{annotated}", "--seed", "1",
+        "--annotations", "3", "--out", "{out}",
+    ],
 }
 
 
@@ -105,7 +109,8 @@ def _argv(template, root):
 @pytest.mark.parametrize("command", list(_COLUMN_COMMANDS))
 def test_column_commands_never_build_the_images_view(command, paths, view_builds):
     assert main(_argv(_COLUMN_COMMANDS[command], paths)) == 0
-    assert (paths / "out").is_file()
+    out = paths / "out"
+    assert (out / "results.csv" if command == "simulate" else out).is_file()
     assert view_builds == []
 
 
@@ -120,11 +125,12 @@ def test_save_dataset_writes_from_the_columns(paths, view_builds, name):
         assert (paths / "copy" / file).read_bytes() == (paths / name / file).read_bytes()
 
 
-def test_the_build_counter_sees_simulate_build_the_view(paths, view_builds):
-    # simulate still draws through per-image records, so the count is live
-    argv = ["simulate", "--dataset", "{annotated}", "--seed", "1", "--out", "{out}"]
-    assert main(_argv(argv + ["--annotations", "3"], paths)) == 0
-    assert len(view_builds) == 1
+def test_the_build_counter_sees_gt_by_id_build_the_view(paths, view_builds):
+    # gt_by_id reads the view, so the count is live
+    loaded = load_dataset(paths / "annotated")
+    loaded.gt_by_id()
+    loaded.gt_by_id()
+    assert view_builds == [loaded]
 
 
 @pytest.mark.parametrize("fallback", ["first", "random"])

@@ -291,6 +291,14 @@ class TestDatasetErrors:
         with pytest.raises(FormatError, match="metadata declares 2"):
             Dataset(DatasetMeta(("a", "b")), (img,))
 
+    @pytest.mark.parametrize("counts, classes", [([5, 0], (1,)), ([2, 1], ())])
+    def test_dataset_rejects_tally_that_contradicts_its_classes(self, counts, classes):
+        # the columns are tallied from the classes, so such a tally would be lost
+        tally = AnnotationSet.from_counts(counts)
+        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), tally, classes, 0)
+        with pytest.raises(FormatError, match="image 'x': annotation tally differs"):
+            Dataset(DatasetMeta(("a", "b")), (img,))
+
     def test_dataset_rejects_out_of_range_proposal(self):
         img = ImageRecord("x", LabelDistribution([1.0, 0.0]), None, (), 7)
         with pytest.raises(FormatError, match="out of range"):

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -451,6 +452,21 @@ class TestRunCalibration:
             <= report["estimate"]
             <= report["candidate_max"]
         )
+
+    def test_two_proposal_protocol_error_names_the_log(self, tmp_path):
+        meta = DatasetMeta(("a", "b", "c"))
+        placeholder = ImageRecord(
+            "unused", LabelDistribution([0.5, 0.3, 0.2]), None, (), None
+        )
+        ds_dir = tmp_path / "ds"
+        save_dataset(Dataset(meta, (placeholder,)), ds_dir)
+        log_path = tmp_path / "one_round.csv"
+        entries = [LogEntry("img", 0, 0), LogEntry("img", 0, 1)]
+        save_acceptance_log(entries, log_path, meta)
+        cfg = ExperimentConfig(seed=0, dataset=str(ds_dir))
+        match = f"^{re.escape(str(log_path))}: image 'img' has 1 distinct proposals"
+        with pytest.raises(FormatError, match=match):
+            run_calibration(cfg, log_path, "two-proposal")
 
     def test_unknown_method(self, tmp_path):
         ds_dir, log_path = self._banded_setup(tmp_path)

@@ -27,7 +27,6 @@ from annobias.calibration import (
     _EDGE_TOL,
     CalibrationError,
     _fit_banded,
-    _proposal_masses,
 )
 from annobias.metrics import BIN_EDGES, NUM_BINS
 
@@ -201,8 +200,10 @@ class TestIntervalRule:
         expected = [r for r in records if _reference_in_band(r.gt[0], lo, hi)]
 
         def fit():
-            masses = _proposal_masses(records)
-            return _fit_banded(records, masses, band, 1, 1.0, "mean", 0.99)
+            masses = np.array([r.gt.probs[r.proposal] for r in records])
+            accepted = np.array([r.accepted for r in records])
+            keys = [r.image_id for r in records]
+            return _fit_banded(masses, accepted, keys, band, 1, 1.0, "mean", 0.99)
 
         if not expected:
             with pytest.raises(CalibrationError, match="no records"):
@@ -212,7 +213,7 @@ class TestIntervalRule:
             with pytest.raises(CalibrationError, match="mass 1"):
                 fit()
         else:
-            assert fit()[1] == expected
+            assert [records[i] for i in fit()[1]] == expected
 
 
 class TestBinMatrix:
