@@ -114,11 +114,17 @@ def _resolve_transitions(
     go to :func:`~annobias.correction.estimate_transition_matrix`.
     """
     if transitions is not None:
-        matrix = load_transition_matrix(transitions).matrix
+        stored = load_transition_matrix(transitions)
+        matrix, names = stored.matrix, dataset.meta.class_names
         if matrix.num_classes != dataset.num_classes:
             raise FormatError(
                 f"{transitions}: matrix has {matrix.num_classes} classes, "
                 f"dataset has {dataset.num_classes}"
+            )
+        if stored.class_names not in (None, names):
+            raise FormatError(
+                f"{transitions}: matrix classes {list(stored.class_names)} "
+                f"differ from the dataset's {list(names)}"
             )
         return matrix
     if seed is None:

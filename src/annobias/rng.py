@@ -6,18 +6,18 @@ are hashed with SHA-256 rather than the process-salted builtin ``hash`` so
 the same key yields the same stream in every interpreter run.
 
 :func:`substream` builds one numpy generator per key.  :func:`uniforms`
-derives the first uniforms of many such streams at once: it maps the
-components at each key position to ``SeedSequence`` entropy words, hashing
-each distinct one once, then reproduces numpy's ``SeedSequence`` entropy
-mix and ``PCG64`` (XSL-RR) output over arrays of rows, so row ``i`` equals
-``substream(seed, *keys[i]).random(m)`` bit for bit.
+derives the first uniforms of many such streams at once: it codes every
+key component, hashing each distinct one once, then reproduces numpy's
+``SeedSequence`` entropy mix and ``PCG64`` (XSL-RR) output over arrays of
+rows, so row ``i`` equals ``substream(seed, *keys[i]).random(m)`` bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from itertools import chain, islice
+from array import array
+from itertools import islice
 
 import numpy as np
 
@@ -83,60 +83,64 @@ def uniforms(seed: int, keys, m: int) -> np.ndarray:
     """First ``m`` uniforms of the stream of each key tuple, as ``float64[N, m]``.
 
     Row ``i`` is bit-identical to ``substream(seed, *keys[i]).random(m)``.
-    ``keys`` may be any iterable of key tuples; it is consumed in chunks
-    so the working set stays small.  A chunk is derived key position by
-    key position, and each distinct str, bytes or int key component is
-    hashed once per call.
+    ``keys`` may be any iterable of key tuples.  All of it is coded first
+    (:func:`_code`); then each chunk's rows are derived, one width at a time.
     """
-    table = _KeyTable(int(seed) & _MASK64)
-    rows = iter(keys)
-    chunks = []
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        chunks.append(_chunk_uniforms(chunk, m, table))
-    return np.concatenate(chunks) if chunks else np.empty((0, m))
-
-
-def _chunk_uniforms(keys: list, m: int, table: _KeyTable) -> np.ndarray:
-    """:func:`uniforms` of one chunk of key tuples, one width at a time."""
-    out = np.empty((len(keys), m), dtype=np.float64)
-    widths = np.fromiter(map(len, keys), np.intp, len(keys))
-    for width in np.flatnonzero(np.bincount(widths)):
-        rows = np.flatnonzero(widths == width)
-        group = keys if len(rows) == len(keys) else [keys[i] for i in rows]
-        # column 0 is the seed's code; column j codes key position j - 1
-        codes = np.zeros((len(rows), width + 1), dtype=np.intp)
-        for j, column in enumerate(zip(*group), 1):
-            codes[:, j] = table.codes(column)
-        for sel, entropy in table.entropy_blocks(codes):
-            out[rows[sel]] = _pcg64_uniforms(_seed_state(entropy), m)
+    n, groups, entropy, bounds = _code(int(seed) & _MASK64, keys)
+    out = np.empty((n, m), dtype=np.float64)
+    for rows, codes in groups:
+        for sel, block in _entropy_blocks(entropy, bounds, codes):
+            out[rows[sel]] = _pcg64_uniforms(_seed_state(block), m)
     return out
 
 
-class _KeyTable(dict):
-    """The seed entropy of the key components of one :func:`uniforms` call.
+def _code(seed: int, keys):
+    """``keys`` coded: their count, ``(rows, codes)`` per width per chunk,
+    and the entropy of code ``c`` as ``entropy[bounds[c]:bounds[c + 1]]``.
+    Chunks are coded key position by key position into one table, whose
+    words are then split into entropy in one pass."""
+    table = _KeyTable(seed)
+    groups, n, rows = [], 0, iter(keys)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
+        for width in np.flatnonzero(np.bincount(widths)):
+            at = np.flatnonzero(widths == width)
+            group = chunk if len(at) == len(chunk) else [chunk[i] for i in at]
+            # column 0 is the seed's code; column j codes key position j - 1
+            codes = np.zeros((len(at), width + 1), dtype=np.intp)
+            for j, column in enumerate(zip(*group), 1):
+                codes[:, j] = table.codes(column)
+            groups.append((n + at, codes))
+        n += len(chunk)
+    # a code's entropy ends where its last word's does (where it starts for ())
+    entropy, sizes = _entropy_words(table.words)
+    return n, groups, entropy, np.cumsum(np.concatenate(([0], sizes)))[table.ends]
 
-    Code ``c`` owns the uint32 entropy words
-    ``entropy[bounds[c]:bounds[c + 1]]``; code 0 is the seed.  The dict
-    maps each distinct str, bytes or int component to its code.  A key
-    position holding any other type gets a new code for every component,
-    so ``1.0`` after ``1`` still meets :func:`key_words` and raises.
+
+class _KeyTable(dict):
+    """The key components of one :func:`uniforms` call, coded.
+
+    The dict maps each distinct str, bytes or int component to its code,
+    and code ``c`` owns the 64-bit words ``words[ends[c]:ends[c + 1]]``;
+    code 0 is the seed.  A key position holding any other type gets a new
+    code for every component, so ``1.0`` after ``1`` still meets
+    :func:`key_words` and raises.
     """
 
     def __init__(self, head: int):
         super().__init__()
-        self.entropy = np.empty(0, dtype=np.uint32)
-        self.bounds = np.zeros(1, dtype=np.intp)
-        self.split = 0  # codes whose words are split into entropy
-        self.pending = [(head,)]  # 64-bit words of each code not yet split
+        self.words = array("Q", (head,))
+        self.ends = [0, 1]
 
     def __missing__(self, key) -> int:
         code = self[key] = self.add(key)
         return code
 
     def add(self, key) -> int:
-        """A new code for ``key``; its words are split on the next gather."""
-        self.pending.append(key_words(key))
-        return self.split + len(self.pending) - 1
+        """A new code for ``key``."""
+        self.words.extend(key_words(key))
+        self.ends.append(len(self.words))
+        return len(self.ends) - 2
 
     def codes(self, column) -> np.ndarray:
         """The code of each component at one key position."""
@@ -145,58 +149,33 @@ class _KeyTable(dict):
             lookup = self.add
         return np.fromiter(map(lookup, column), np.intp, len(column))
 
-    def entropy_blocks(self, codes: np.ndarray):
-        """Yield ``(rows, entropy)``: rows of ``codes`` (an index or a slice)
-        and their entropy words, their codes' in order, as ``uint32[n, L]``.
 
-        Rows are grouped by the number of words each code contributes;
-        a chunk usually has one such profile.
-        """
-        self._split_pending()
-        starts = self.bounds[codes]
-        sizes = self.bounds[codes + 1] - starts
-        if (sizes == sizes[0]).all():
-            groups = [(slice(None), sizes[0])]
-        else:
-            profiles, group = np.unique(sizes, axis=0, return_inverse=True)
-            group = group.ravel()
-            groups = [(np.flatnonzero(group == g), p) for g, p in enumerate(profiles)]
-        for rows, profile in groups:
-            firsts = starts[rows]
-            block = np.empty((len(firsts), profile.sum()), dtype=np.uint32)
-            at = 0
-            for j, size in enumerate(profile.tolist()):
-                block[:, at : at + size] = self.entropy[firsts[:, j, None] + np.arange(size)]
-                at += size
-            yield rows, block
+def _entropy_blocks(entropy: np.ndarray, bounds: np.ndarray, codes: np.ndarray):
+    """Yield ``(rows, block)``: rows of ``codes`` (an index or a slice) and
+    their entropy words, their codes' in order, as ``uint32[n, L]``.
 
-    def _split_pending(self):
-        """Append the entropy words of the codes added since the last split."""
-        if not self.pending:
-            return
-        entropy, sizes = _entropy_words(list(chain.from_iterable(self.pending)))
-        # a code's words end where its last 64-bit word's do; a code may
-        # have no words (an empty tuple key)
-        counts = np.fromiter(map(len, self.pending), np.intp, len(self.pending))
-        ends = np.cumsum(np.concatenate(([0], sizes)))[np.cumsum(counts)]
-        used = self.bounds[self.split]
-        self.entropy = _append(self.entropy, used, entropy)
-        self.bounds = _append(self.bounds, self.split + 1, used + ends)
-        self.split += len(self.pending)
-        self.pending = []
+    Rows are grouped by the number of words each code contributes;
+    a chunk usually has one such profile.
+    """
+    starts = bounds[codes]
+    sizes = bounds[codes + 1] - starts
+    if (sizes == sizes[0]).all():
+        groups = [(slice(None), sizes[0])]
+    else:
+        profiles, group = np.unique(sizes, axis=0, return_inverse=True)
+        group = group.ravel()
+        groups = [(np.flatnonzero(group == g), p) for g, p in enumerate(profiles)]
+    for rows, profile in groups:
+        firsts = starts[rows]
+        block = np.empty((len(firsts), profile.sum()), dtype=np.uint32)
+        at = 0
+        for j, size in enumerate(profile.tolist()):
+            block[:, at : at + size] = entropy[firsts[:, j, None] + np.arange(size)]
+            at += size
+        yield rows, block
 
 
-def _append(array: np.ndarray, used: int, values: np.ndarray) -> np.ndarray:
-    """``array`` with ``values`` stored after its first ``used`` entries,
-    doubling its length when it has no room."""
-    end = used + len(values)
-    if end > len(array):
-        array = np.resize(array, max(end, 2 * len(array)))
-    array[used:end] = values
-    return array
-
-
-def _entropy_words(words: list):
+def _entropy_words(words):
     """numpy's uint32 entropy words for 64-bit ``words``, and how many per word.
 
     A word below 2**32 (0 included) is one uint32, a larger one its low

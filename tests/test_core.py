@@ -17,6 +17,7 @@ from annobias import (
     soft_gt_from_annotations,
     substream,
 )
+from annobias import core
 
 positive_vectors = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=8
@@ -166,6 +167,25 @@ class TestSampleClass:
         d = LabelDistribution([0.5, 0.0, 0.5])
         draws = {sample_class(d, rng) for _ in range(2000)}
         assert 1 not in draws
+
+    def test_uniform_past_a_short_cdf_draws_the_last_class_with_mass(self):
+        # stored as given: the cumsum tops out a hair below 1, so a uniform
+        # in the gap passes every class; the draw takes class 1, the last
+        # with mass, never the zero-mass class 2
+        d = LabelDistribution([0.5, 0.4999999999, 0.0])
+        assert d.probs[1] == 0.4999999999
+        u = 0.99999999995
+        assert d.probs.cumsum()[-1] < u
+        assert core._draw_class(d.probs, u) == 1
+        rows = np.array([d.probs, [0.2, 0.3, 0.5], d.probs])
+        got = core._draw_class(rows, np.array([u, u, 0.1]))
+        assert got.tolist() == [1, 2, 0]
+
+        class FixedUniform:
+            def random(self):
+                return u
+
+        assert sample_class(d, FixedUniform()) == 1
 
 
 class TestAnnotationSet:

@@ -34,6 +34,7 @@ from annobias.harness.formats import (
     LogEntry,
     TransitionMatrixFile,
     bundled_transition_matrix,
+    load_dataset,
     load_transition_matrix,
     save_acceptance_log,
     save_dataset,
@@ -477,8 +478,6 @@ class TestRunCalibration:
 
 class TestRunLabelCorrection:
     def test_matches_direct_repair(self, annotated_dataset_dir, identity_transitions):
-        from annobias.harness.formats import load_dataset
-
         out = run_label_correction(
             str(annotated_dataset_dir), transitions=str(identity_transitions)
         )
@@ -709,6 +708,94 @@ class TestCli:
         assert lines[0] == "image_id,p_0,p_1,p_2"
         assert len(lines) == 7  # header + six images
         assert str(out) in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "names, rc",
+        [
+            (["class_0", "class_1", "class_2"], 0),
+            (["class_2", "class_1", "class_0"], 2),
+            (["x", "y", "z"], 2),
+        ],
+        ids=["same", "reordered", "foreign"],
+    )
+    def test_correct_checks_the_matrix_class_names(
+        self, annotated_dataset_dir, tmp_path, capsys, names, rc
+    ):
+        # rows blended against other classes than the dataset's are wrong
+        # silently, so named matrix classes must be the dataset's, in order
+        matrix = tmp_path / "named.json"
+        save_transition_matrix(
+            TransitionMatrixFile(tuple(map(tuple, np.eye(3))), names), matrix
+        )
+        argv = ["correct", "--dataset", str(annotated_dataset_dir)]
+        argv += ["--transitions", str(matrix), "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err.startswith(f"error: {matrix}: matrix classes {names}")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["compare-strategies", "--dataset", "{ds}", "--log", "{log}"]
+                + ["--seed", "1", "--repetitions", "0"],
+                "repetitions must be >= 1",
+            ),
+            (
+                ["estimate-transitions", "--dataset", "{ds}", "--seed", "1"]
+                + ["--n-images", "0", "--out", "{out}"],
+                "n_images and n_annos must be >= 1",
+            ),
+            (
+                ["estimate-transitions", "--dataset", "{ds}", "--seed", "1"]
+                + ["--n-annos", "0", "--out", "{out}"],
+                "n_images and n_annos must be >= 1",
+            ),
+            (
+                ["calibrate", "--dataset", "{ds}", "--log", "{log}", "--band", "0.3"],
+                "--band needs exactly two values: lo,hi",
+            ),
+            (
+                ["simulate", "--seed", "1", "--out", "{out}"],
+                "a dataset is required (--dataset or config file)",
+            ),
+            (
+                ["simulate", "--config", "{config}", "--out", "{out}"],
+                "use_bc must be true or false, got str",
+            ),
+            (
+                ["correct", "--dataset", "{numbered}", "--seed", "1", "--out", "{out}"],
+                "meta.json: 'class_names' must be a list of strings",
+            ),
+        ],
+        ids=[
+            "repetitions-0",
+            "n-images-0",
+            "n-annos-0",
+            "one-band-value",
+            "no-dataset",
+            "use-bc-string",
+            "numeric-class-names",
+        ],
+    )
+    def test_malformed_input_exits_2_with_its_message(
+        self, tmp_path, capsys, argv, message
+    ):
+        ds_dir, log_path = _campaign_dir(tmp_path, n_images=10)
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps({"dataset": str(ds_dir), "seed": 1, "use_bc": "yes"})
+        )
+        numbered = tmp_path / "numbered"
+        save_dataset(load_dataset(ds_dir), numbered)
+        (numbered / "meta.json").write_text(json.dumps({"class_names": [1, 2]}))
+        paths = {"ds": ds_dir, "log": log_path, "out": tmp_path / "out"}
+        paths.update(config=config, numbered=numbered)
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
 
     def test_calibrate_study_rescale(self, tmp_path, capsys):
         ds, entries = banded_campaign(seed=0, delta=0.2)

@@ -104,6 +104,33 @@ def test_key_positions_of_mixed_widths_and_entropy_lengths(monkeypatch, chunk_ro
         assert np.array_equal(got, _reference(seed, rows, 4))
 
 
+def test_each_distinct_component_is_hashed_once_per_call(monkeypatch):
+    # a one-shot iterator whose rows repeat one image id across chunks of
+    # two rows: a table kept per chunk would hash the id again, and a
+    # split per chunk would call _entropy_words once per chunk
+    monkeypatch.setattr(rng, "_CHUNK_ROWS", 2)
+    calls = {"key_words": [], "_entropy_words": 0}
+    key_words, entropy_words = rng.key_words, rng._entropy_words
+
+    def counted_key_words(key):
+        calls["key_words"].append(key)
+        return key_words(key)
+
+    def counted_entropy_words(words):
+        calls["_entropy_words"] += 1
+        return entropy_words(words)
+
+    monkeypatch.setattr(rng, "key_words", counted_key_words)
+    monkeypatch.setattr(rng, "_entropy_words", counted_entropy_words)
+    rows = [("compare", "img_7", i % 3) for i in range(9)]
+    got = uniforms(5, iter(rows), 3)
+    assert len(calls["key_words"]) == 5
+    assert set(calls["key_words"]) == {"compare", "img_7", 0, 1, 2}
+    assert calls["_entropy_words"] == 1
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference(5, rows, 3))
+
+
 def test_uniforms_reject_what_substream_rejects():
     with pytest.raises(TypeError):
         substream(0, 1.0)
