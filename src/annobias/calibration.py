@@ -151,8 +151,8 @@ def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
         raise ValueError(f"invalid band {band!r}")
     if aggregate not in ("mean", "median"):
         raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
-    if rescale < 0.0:
-        raise ValueError("rescale must be >= 0")
+    if not 0.0 <= rescale < np.inf:
+        raise ValueError("rescale must be a finite number >= 0")
 
     inside = np.flatnonzero(_interval_index(masses, (lo, hi)) == 1)
     if not inside.size:

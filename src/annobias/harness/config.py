@@ -25,9 +25,16 @@ def _path(value) -> str:
     return str(os.fspath(value))
 
 
+def _number(value) -> float:
+    """``float(value)``, refusing a boolean: JSON ``true`` is not 1."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def _integer(value) -> int:
-    """``int(value)``, refusing a number with a fractional part."""
-    if not isinstance(value, (str, bytes)) and value != int(value):
+    """``int(value)``, refusing a boolean and a number with a fractional part."""
+    if not isinstance(value, (str, bytes)) and _number(value) % 1:
         raise ValueError(value)
     return int(value)
 
@@ -43,18 +50,18 @@ _CONVERSIONS = {
     "seed": (_integer, "an integer"),
     "dataset": (_path, "a path"),
     "annotations": (_integer, "integers"),
-    "sim_delta": (float, "a number"),
-    "sim_upper_bound": (float, "a number"),
-    "mu": (float, "a number"),
-    "corr_delta": (float, "a number"),
-    "corr_upper_bound": (float, "a number"),
+    "sim_delta": (_number, "a number"),
+    "sim_upper_bound": (_number, "a number"),
+    "mu": (_number, "a number"),
+    "corr_delta": (_number, "a number"),
+    "corr_upper_bound": (_number, "a number"),
     "use_bc": (_flag, "true or false"),
     "use_cb": (_flag, "true or false"),
     "transitions": (_path, "a path"),
     "metrics": (lambda m: str(m).strip().lower(), "metric names"),
-    "speedups": (float, "numbers"),
-    "initial_supervision": (float, "a number"),
-    "pct_annotated": (float, "a number"),
+    "speedups": (_number, "numbers"),
+    "initial_supervision": (_number, "a number"),
+    "pct_annotated": (_number, "a number"),
     "out_dir": (_path, "a path"),
 }
 _LISTS = ("annotations", "metrics", "speedups")
@@ -146,8 +153,8 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ConfigError(f"duplicate entries in {name}")
-        if any(s < 1.0 for s in self.speedups):
-            raise ConfigError("every speedup must be >= 1")
+        if not all(1.0 <= s < float("inf") for s in self.speedups):
+            raise ConfigError("every speedup must be a finite number >= 1")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

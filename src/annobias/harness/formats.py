@@ -119,8 +119,11 @@ def _read_json(path: Path) -> dict:
 
 
 def _dump_json(obj, path) -> None:
-    """Write ``obj`` as canonical JSON: sorted keys, two-space indent."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Write ``obj`` as canonical JSON: sorted keys, two-space indent, no NaN."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise FormatError(f"{path}: cannot write as JSON: {e}") from e
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 

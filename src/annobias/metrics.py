@@ -92,9 +92,9 @@ class BudgetParams:
     def __post_init__(self):
         _check_unit("initial_supervision", self.initial_supervision)
         _check_unit("pct_annotated", self.pct_annotated)
-        if self.annotations_per_image < 0.0:
+        if not self.annotations_per_image >= 0.0:
             raise ValueError("annotations_per_image must be >= 0")
-        if self.speedup < 1.0:
+        if not self.speedup >= 1.0:
             raise ValueError("speedup must be >= 1")
 
 
@@ -112,7 +112,7 @@ def kl_divergence(
         raise ValueError(
             f"class counts differ: {gt.num_classes} vs {est.num_classes}"
         )
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise ValueError("epsilon must be > 0")
     return float(_kl_rows(gt.probs[None], est.probs[None], epsilon)[0])
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from array import array
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -84,48 +84,59 @@ def uniforms(seed: int, keys, m: int) -> np.ndarray:
 
     Row ``i`` is bit-identical to ``substream(seed, *keys[i]).random(m)``.
     ``keys`` may be any iterable of key tuples.  All of it is coded first
-    (:func:`_code`); then each chunk's rows are derived, one width at a time.
+    (:func:`_code`); then each chunk is derived one entropy length at a time.
     """
-    n, groups, entropy, bounds = _code(int(seed) & _MASK64, keys)
-    out = np.empty((n, m), dtype=np.float64)
-    for rows, codes in groups:
-        for sel, block in _entropy_blocks(entropy, bounds, codes):
-            out[rows[sel]] = _pcg64_uniforms(_seed_state(block), m)
+    chunks, entropy, bounds = _code(int(seed) & _MASK64, keys)
+    out = np.empty((sum(len(widths) for widths, _ in chunks), m), dtype=np.float64)
+    done = 0
+    for widths, codes in chunks:
+        # each row's codes: the seed's (code 0), then its components'
+        heads = np.cumsum(widths) - widths
+        codes = np.insert(codes, heads, 0)
+        sizes = bounds[codes + 1] - bounds[codes]
+        lengths = np.add.reduceat(sizes, heads + np.arange(len(widths)))
+        # every row's entropy, one row after another
+        words = entropy[_ranges(bounds[codes], sizes)]
+        firsts = np.cumsum(lengths) - lengths
+        for length in np.flatnonzero(np.bincount(lengths)):
+            rows = np.flatnonzero(lengths == length)
+            if len(rows) == len(widths):
+                block = words.reshape(len(rows), length)
+            else:
+                block = words[firsts[rows, None] + np.arange(length)]
+            out[done + rows] = _pcg64_uniforms(_seed_state(block), m)
+        done += len(widths)
     return out
 
 
+def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each ``range(s, s + n)`` of ``starts`` and ``sizes``, concatenated, as int32."""
+    ends = np.cumsum(sizes)
+    index = np.arange(ends[-1], dtype=np.int32)
+    index += np.repeat((starts - ends + sizes).astype(np.int32), sizes)
+    return index
+
+
 def _code(seed: int, keys):
-    """``keys`` coded: their count, ``(rows, codes)`` per width per chunk,
-    and the entropy of code ``c`` as ``entropy[bounds[c]:bounds[c + 1]]``.
-    Chunks are coded key position by key position into one table, whose
-    words are then split into entropy in one pass."""
+    """``keys`` coded chunk by chunk as ``(widths, codes)``: each row's width
+    and each component's code, in row order; and the entropy of code ``c``
+    (code 0 is the seed) as ``entropy[bounds[c]:bounds[c + 1]]``."""
     table = _KeyTable(seed)
-    groups, n, rows = [], 0, iter(keys)
+    chunks, rows = [], iter(keys)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        for width in np.flatnonzero(np.bincount(widths)):
-            at = np.flatnonzero(widths == width)
-            group = chunk if len(at) == len(chunk) else [chunk[i] for i in at]
-            # column 0 is the seed's code; column j codes key position j - 1
-            codes = np.zeros((len(at), width + 1), dtype=np.intp)
-            for j, column in enumerate(zip(*group), 1):
-                codes[:, j] = table.codes(column)
-            groups.append((n + at, codes))
-        n += len(chunk)
+        chunks.append((widths, table.codes(list(chain.from_iterable(chunk)))))
     # a code's entropy ends where its last word's does (where it starts for ())
     entropy, sizes = _entropy_words(table.words)
-    return n, groups, entropy, np.cumsum(np.concatenate(([0], sizes)))[table.ends]
+    bounds = np.cumsum(np.concatenate(([0], sizes)), dtype=np.int32)
+    return chunks, entropy, bounds[table.ends]
 
 
 class _KeyTable(dict):
-    """The key components of one :func:`uniforms` call, coded.
-
-    The dict maps each distinct str, bytes or int component to its code,
-    and code ``c`` owns the 64-bit words ``words[ends[c]:ends[c + 1]]``;
-    code 0 is the seed.  A key position holding any other type gets a new
-    code for every component, so ``1.0`` after ``1`` still meets
-    :func:`key_words` and raises.
-    """
+    """The components of one :func:`uniforms` call's keys, coded: a dict from
+    each distinct str, bytes or int component to its code; code ``c`` owns
+    the words ``words[ends[c]:ends[c + 1]]``.  Any other component gets a new
+    code each time, so ``1.0`` after ``1`` still meets :func:`key_words` and raises."""
 
     def __init__(self, head: int):
         super().__init__()
@@ -142,37 +153,14 @@ class _KeyTable(dict):
         self.ends.append(len(self.words))
         return len(self.ends) - 2
 
-    def codes(self, column) -> np.ndarray:
-        """The code of each component at one key position."""
-        lookup = self.__getitem__
-        if not set(map(type, column)) <= _CACHED_KEY_TYPES:
-            lookup = self.add
-        return np.fromiter(map(lookup, column), np.intp, len(column))
+    def codes(self, keys: list) -> np.ndarray:
+        """The code of each of ``keys``."""
+        cached = set(map(type, keys)) <= _CACHED_KEY_TYPES
+        lookup = self.__getitem__ if cached else self._lookup
+        return np.fromiter(map(lookup, keys), np.int32, len(keys))
 
-
-def _entropy_blocks(entropy: np.ndarray, bounds: np.ndarray, codes: np.ndarray):
-    """Yield ``(rows, block)``: rows of ``codes`` (an index or a slice) and
-    their entropy words, their codes' in order, as ``uint32[n, L]``.
-
-    Rows are grouped by the number of words each code contributes;
-    a chunk usually has one such profile.
-    """
-    starts = bounds[codes]
-    sizes = bounds[codes + 1] - starts
-    if (sizes == sizes[0]).all():
-        groups = [(slice(None), sizes[0])]
-    else:
-        profiles, group = np.unique(sizes, axis=0, return_inverse=True)
-        group = group.ravel()
-        groups = [(np.flatnonzero(group == g), p) for g, p in enumerate(profiles)]
-    for rows, profile in groups:
-        firsts = starts[rows]
-        block = np.empty((len(firsts), profile.sum()), dtype=np.uint32)
-        at = 0
-        for j, size in enumerate(profile.tolist()):
-            block[:, at : at + size] = entropy[firsts[:, j, None] + np.arange(size)]
-            at += size
-        yield rows, block
+    def _lookup(self, key) -> int:
+        return self[key] if type(key) in _CACHED_KEY_TYPES else self.add(key)
 
 
 def _entropy_words(words):
@@ -192,44 +180,45 @@ def _entropy_words(words):
 def _seed_state(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(entropy).generate_state(4, uint64)`` per row, as uint64[4, n].
 
-    ``entropy`` is uint32[n, L]; every row has the same length, so the
-    hash constants are shared scalars.
+    ``entropy`` is uint32[n, L].  The pool is one uint32[4, n] array, so
+    numpy's updates of several pool words from one word are one operation.
     """
     n, length = entropy.shape
-    hash_const = _INIT_A
+    size = _POOL_SIZE
+    # one row per entropy word, zero-padded to the pool size
+    words = np.zeros((max(length, size), n), dtype=np.uint32)
+    words[:length] = entropy.T
+    consts = _hash_consts(_INIT_A, _MULT_A, size * len(words))
+    pool = _hashmix(words[:size], consts[: size + 1])
+    at = size
+    for src in range(size):
+        other = np.arange(size) != src
+        pool[other] = _mix(pool[other], _hashmix(pool[src], consts[at : at + size]))
+        at += size - 1
+    for word in words[size:]:
+        pool = _mix(pool, _hashmix(word, consts[at : at + size + 1]))
+        at += size
+    # eight uint32 words cycling over the pool; pairs are (low, high) halves
+    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * size))
+    state = state.astype(np.uint64)
+    return state[0::2] | (state[1::2] << _SHIFT32)
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
 
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ (result >> _XSHIFT)
+def _hash_consts(value: int, mult: int, count: int) -> np.ndarray:
+    """``value * mult**i`` mod 2**32 for ``i`` in 0..count, as uint32[count + 1, 1]."""
+    consts = np.array([value] + [mult] * count, dtype=np.uint32)
+    return np.cumprod(consts, dtype=np.uint32)[:, None]
 
-    zero = np.zeros(n, dtype=np.uint32)
-    pool = [
-        hashmix(entropy[:, i] if i < length else zero) for i in range(_POOL_SIZE)
-    ]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(_POOL_SIZE, length):
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
 
-    hash_const = _INIT_B
-    state = []
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    # consecutive uint32 pairs are (low, high) halves of one uint64
-    return np.stack([state[i] | (state[i + 1] << _SHIFT32) for i in range(0, 8, 2)])
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """numpy's hashmix; call ``i`` uses the hash constants ``consts[i : i + 2]``."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
 
 
 def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:

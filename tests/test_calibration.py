@@ -141,6 +141,15 @@ class TestEstimateDeltaBanded:
         assert scaled == pytest.approx(1.3 * base, abs=1e-12)
         assert estimate_delta_banded(records, n_target=1, rescale=10.0) == 1.0
 
+    @pytest.mark.parametrize("aggregate", ["mean", "median"])
+    @pytest.mark.parametrize("rescale", [math.nan, math.inf, -0.5])
+    def test_rescale_must_be_finite_and_non_negative(self, rescale, aggregate):
+        records = [AcceptanceRecord(f"i{j}", 0, j % 2, GT3) for j in range(10)]
+        with pytest.raises(ValueError, match="rescale must be a finite number"):
+            estimate_delta_banded(
+                records, n_target=1, rescale=rescale, aggregate=aggregate
+            )
+
     def test_rescale_defaults_to_neutral(self):
         records = [
             AcceptanceRecord(f"i{j}", 0, 0 if j < 5 else 1, GT3)

@@ -415,6 +415,15 @@ class TestTransitionMatrixFile:
 
 
 class TestTransitionMatrixIO:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_metadata_is_not_written(self, tmp_path, value):
+        # NaN and Infinity are not JSON; nothing the package writes holds them
+        tm = TransitionMatrixFile(((0.9, 0.1), (0.2, 0.8)), metadata={"x": value})
+        path = tmp_path / "tm.json"
+        with pytest.raises(FormatError, match="tm.json: cannot write as JSON"):
+            save_transition_matrix(tm, path)
+        assert not path.exists()
+
     def test_save_load_save_byte_identical(self, tmp_path):
         tm = TransitionMatrixFile(
             ((0.9, 0.1), (0.25, 0.75)),

@@ -164,6 +164,26 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig(**{"seed": 1, "dataset": str(dataset_dir), **kwargs})
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("seed", True),
+            ("mu", True),
+            ("annotations", [True, 5]),
+            ("sim_delta", False),
+            ("speedups", [1.0, True]),
+        ],
+    )
+    def test_json_booleans_are_not_numbers(self, dataset_dir, key, value):
+        data = {"seed": 1, "dataset": str(dataset_dir), key: value}
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig.from_mapping(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_speedups_must_be_finite(self, dataset_dir, value):
+        with pytest.raises(ConfigError, match="every speedup must be a finite"):
+            ExperimentConfig(seed=1, dataset=str(dataset_dir), speedups=(1.0, value))
+
     def test_integral_float_and_numeric_string_are_accepted(self, dataset_dir):
         cfg = ExperimentConfig(seed=5.0, dataset=str(dataset_dir), annotations=[5.0])
         assert cfg.seed == 5 and cfg.annotations == (5,)
@@ -768,6 +788,21 @@ class TestCli:
                 ["correct", "--dataset", "{numbered}", "--seed", "1", "--out", "{out}"],
                 "meta.json: 'class_names' must be a list of strings",
             ),
+            (
+                ["simulate", "--dataset", "{ds}", "--seed", "1", "--annotations", "2"]
+                + ["--speedups", "nan", "--out", "{out}"],
+                "every speedup must be a finite number >= 1",
+            ),
+            (
+                ["calibrate", "--dataset", "{ds}", "--log", "{log}"]
+                + ["--rescale", "nan", "--out", "{out}"],
+                "rescale must be a finite number >= 0",
+            ),
+            (
+                ["calibrate", "--dataset", "{ds}", "--log", "{log}", "--rescale"]
+                + ["inf", "--aggregate", "median", "--out", "{out}"],
+                "rescale must be a finite number >= 0",
+            ),
         ],
         ids=[
             "repetitions-0",
@@ -777,6 +812,9 @@ class TestCli:
             "no-dataset",
             "use-bc-string",
             "numeric-class-names",
+            "speedups-nan",
+            "rescale-nan",
+            "rescale-inf-median",
         ],
     )
     def test_malformed_input_exits_2_with_its_message(

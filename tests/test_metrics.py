@@ -69,6 +69,11 @@ class TestKlDivergence:
         with pytest.raises(ValueError):
             kl_divergence(d, d, epsilon=0.0)
 
+    def test_nan_epsilon_rejected(self):
+        d = LabelDistribution([0.5, 0.5])
+        with pytest.raises(ValueError, match="epsilon"):
+            kl_divergence(d, d, epsilon=float("nan"))
+
     @given(
         st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=2, max_size=6),
         st.data(),
@@ -324,6 +329,18 @@ class TestBudget:
             BudgetParams(0.2, 1.0, -1, 10)
         with pytest.raises(ValueError):
             BudgetParams(0.2, 1.0, 5, 0.5)
+
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            ((0.2, 1.0, float("nan"), 10), "annotations_per_image"),
+            ((0.2, 1.0, 5, float("nan")), "speedup"),
+            ((float("nan"), 1.0, 5, 10), "initial_supervision"),
+        ],
+    )
+    def test_nan_is_rejected(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            BudgetParams(*args)
 
     @given(
         st.floats(min_value=1.0, max_value=50.0),

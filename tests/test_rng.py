@@ -131,6 +131,51 @@ def test_each_distinct_component_is_hashed_once_per_call(monkeypatch):
     assert np.array_equal(got, _reference(5, rows, 3))
 
 
+@pytest.mark.parametrize("length", range(1, 13))
+def test_seed_state_matches_seed_sequence_at_each_entropy_length(length):
+    # below the pool size of four the pool is zero-padded
+    entropy = np.random.default_rng(length).integers(
+        0, 2**32, (6, length), dtype=np.uint32
+    )
+    entropy[0] = 0
+    want = [np.random.SeedSequence(row).generate_state(4, np.uint64) for row in entropy]
+    assert np.array_equal(rng._seed_state(entropy), np.array(want).T)
+
+
+def test_a_chunk_is_derived_once_per_entropy_length(monkeypatch):
+    # widths 1, 8, 2 and 2; entropy lengths 9, 9, 10 and 10 (seed, then a
+    # hashed string's eight words or one word per small int)
+    calls = []
+    seed_state = rng._seed_state
+
+    def counted_seed_state(entropy):
+        calls.append(entropy.shape)
+        return seed_state(entropy)
+
+    monkeypatch.setattr(rng, "_seed_state", counted_seed_state)
+    rows = [("a",), tuple(range(8)), (1, "a"), ("a", 1)]
+    got = uniforms(3, rows, 4)
+    assert sorted(calls) == [(2, 9), (2, 10)]
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference(3, rows, 4))
+
+
+def test_a_string_beside_a_nested_key_is_hashed_once(monkeypatch):
+    calls = []
+    key_words = rng.key_words
+
+    def counted_key_words(key):
+        calls.append(key)
+        return key_words(key)
+
+    monkeypatch.setattr(rng, "key_words", counted_key_words)
+    rows = [("img",), ((2, [3]),), ("img",), ((2, [3]), "img")]
+    got = uniforms(5, rows, 2)
+    assert calls.count("img") == 1
+    monkeypatch.undo()
+    assert np.array_equal(got, _reference(5, rows, 2))
+
+
 def test_uniforms_reject_what_substream_rejects():
     with pytest.raises(TypeError):
         substream(0, 1.0)
