@@ -24,7 +24,7 @@ from .. import __version__
 from ..calibration import STUDY_RESCALE
 from ..correction import _CB_INPUTS
 from ..simulation import _REJECT_FALLBACKS
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _check_offset
 from .experiments import (
     _repaired,
     _resolve_transitions,
@@ -229,6 +229,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_correct(args) -> int:
+    _check_offset("corr", args.corr_delta, args.corr_upper_bound)
     stages = dict(use_bc=args.use_bc, use_cb=args.use_cb, cb_input=args.cb_input)
     params = args.corr_delta, args.corr_upper_bound, args.mu
     dataset, repaired = _repaired(

@@ -85,6 +85,17 @@ def _converted(name: str, value):
         raise ConfigError(f"{name} must be {kind}, got {type(value).__name__}") from e
 
 
+def _check_offset(side: str, delta, upper_bound) -> None:
+    """ConfigError naming a key unless 0 <= delta < upper_bound < 1; None skips."""
+    d, ub = f"{side}_delta", f"{side}_upper_bound"
+    if delta is not None and not 0.0 <= delta < 1.0:
+        raise ConfigError(f"{d} must lie in [0, 1)")
+    if upper_bound is not None and not 0.0 < upper_bound < 1.0:
+        raise ConfigError(f"{ub} must lie in (0, 1)")
+    if delta is not None and upper_bound is not None and not delta < upper_bound:
+        raise ConfigError(f"{d} must be < {ub}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a simulation experiment needs besides the data itself.
@@ -137,8 +148,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if not 0.0 <= self.corr_delta < self.corr_upper_bound < 1.0:
-            raise ConfigError("need 0 <= corr_delta < corr_upper_bound < 1")
+        _check_offset("sim", self.sim_delta, self.sim_upper_bound)
+        _check_offset("corr", self.corr_delta, self.corr_upper_bound)
         for name, choices in _CHOICES.items():
             if getattr(self, name) not in choices:
                 raise ConfigError(f"{name} must be one of {choices}")

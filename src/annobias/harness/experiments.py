@@ -94,9 +94,6 @@ class Report:
     budget: list = field(default_factory=list)
 
 
-_VARIANTS = ("raw", "repaired")
-
-
 def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
     delta = meta.delta if cfg.sim_delta is None else cfg.sim_delta
     ub = meta.upper_bound if cfg.sim_upper_bound is None else cfg.sim_upper_bound
@@ -232,54 +229,40 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     """Scores of every (image, count) cell: ``(n, variant, metric) -> values``.
 
     Keys are in the order a row-by-row loop meets them; each list is in
-    image order.  Each cell is drawn from its own stream, keyed (seed,
-    "simulate", n, image id); blocks of ``_BLOCK_ROWS`` images are taken
-    in turn, and within a block every count's tallies are validated,
-    repaired and scored together.  A failing cell raises ``RuntimeError``
-    naming the image of the first failing cell in image-major order.
+    image order.  ``block`` draws each cell of a block of ``_BLOCK_ROWS``
+    images from its own stream, keyed (seed, "simulate", n, image id), then
+    validates, repairs and scores each count's tallies as arrays.  A failing
+    cell raises ``RuntimeError`` naming the first failing image.
     """
     ids, probs, given = dataset.ids, dataset.probs, dataset.proposals
     proposals = np.where(given < 0, probs.argmax(axis=1), given)
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
-
-    def cells(i, j, n, gts):
-        params = replace(sim, repetitions=n)
-        counts = np.empty((j - i, dataset.num_classes), dtype=np.int64)
-        for row, gt in enumerate(gts, i):
-            rng = substream(cfg.seed, "simulate", n, ids[row]) if reads else None
-            tally = simulate_strategy_set(strategy, gt, proposals[row], params, rng)
-            counts[row - i] = tally.counts
-        raw = _validated_rows(counts / n)
-        repaired = repair_labels(
-            counts,
-            proposals[i:j],
-            matrix,
-            corr,
-            use_bc=cfg.use_bc,
-            use_cb=cfg.use_cb,
-            cb_input=cfg.cb_input,
-        )
-        return raw, repaired
+    stages = dict(use_bc=cfg.use_bc, use_cb=cfg.use_cb, cb_input=cfg.cb_input)
 
     def block(i, j):
         gts = [LabelDistribution(p) for p in probs[i:j]]
-        return [cells(i, j, n, gts) for n in cfg.annotations]
-
-    scores = {
-        (n, variant, metric): []
-        for n in cfg.annotations
-        for variant in _VARIANTS
-        for metric in cfg.metrics
-    }
-    for lo, hi, by_n in _by_block(block, ids):
-        for n, dists in zip(cfg.annotations, by_n):
-            for variant, dist in zip(_VARIANTS, dists):
+        scores = {}
+        for n in cfg.annotations:
+            params = replace(sim, repetitions=n)
+            counts = np.array([
+                simulate_strategy_set(
+                    strategy, gt, proposals[row], params,
+                    substream(cfg.seed, "simulate", n, ids[row]) if reads else None,
+                ).counts
+                for row, gt in enumerate(gts, i)
+            ])
+            raw = _validated_rows(counts / n)
+            repaired = repair_labels(counts, proposals[i:j], matrix, corr, **stages)
+            for variant, dist in (("raw", raw), ("repaired", repaired)):
                 for metric in cfg.metrics:
-                    value = _METRIC_ROWS[metric](probs[lo:hi], dist)
-                    scores[(n, variant, metric)].append(value)
-    return {
-        key: np.concatenate(parts).tolist() for key, parts in scores.items() if parts
-    }
+                    scores[n, variant, metric] = _METRIC_ROWS[metric](probs[i:j], dist)
+        return scores
+
+    parts = {}
+    for _, _, scores in _by_block(block, ids):
+        for key, values in scores.items():
+            parts.setdefault(key, []).append(values)
+    return {key: np.concatenate(values).tolist() for key, values in parts.items()}
 
 
 def run_strategy_comparison(

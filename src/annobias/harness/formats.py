@@ -99,11 +99,15 @@ def _not_utf8(path: Path, e: UnicodeDecodeError) -> FormatError:
     return FormatError(f"{path}: not valid UTF-8 text ({e.reason})")
 
 
+def _refuse_constant(name: str):  # NaN and Infinity, which _dump_json refuses too
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _read_json(path: Path) -> dict:
     """The JSON object in a UTF-8 file; any defect raises FormatError naming it."""
     try:
         with open(path, encoding="utf-8") as f:
-            data = json.load(f)
+            data = json.load(f, parse_constant=_refuse_constant)
     except OSError as e:
         raise FormatError(f"{path}: cannot read: {e}") from e
     except UnicodeDecodeError as e:

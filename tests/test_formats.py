@@ -494,6 +494,13 @@ class TestTransitionMatrixIO:
         with pytest.raises(FormatError, match="invalid JSON"):
             self._load_obj(tmp_path, "{not json")
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_not_read(self, tmp_path, constant):
+        # what save_transition_matrix would refuse to write is refused on read
+        text = '{"rows": [[1.0]], "metadata": {"x": %s}}' % constant
+        with pytest.raises(FormatError, match=f"m.json: invalid JSON: {constant}"):
+            self._load_obj(tmp_path, text)
+
 
 EXPECTED_FIXTURES = [
     "benthic",

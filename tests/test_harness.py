@@ -235,6 +235,51 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="top level"):
             ExperimentConfig.from_file(path)
 
+    def test_from_file_refuses_nan(self, dataset_dir, tmp_path):
+        path = tmp_path / "config.json"
+        data = {"seed": 1, "dataset": str(dataset_dir), "sim_delta": float("nan")}
+        path.write_text(json.dumps(data))  # Python writes NaN unless told not to
+        with pytest.raises(ConfigError, match="config.json: invalid JSON: NaN"):
+            ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"sim_delta": float("nan")}, "sim_delta must lie in [0, 1)"),
+            ({"sim_delta": -0.1}, "sim_delta must lie in [0, 1)"),
+            ({"sim_delta": 1.0}, "sim_delta must lie in [0, 1)"),
+            ({"sim_upper_bound": float("inf")}, "sim_upper_bound must lie in (0, 1)"),
+            ({"sim_upper_bound": 0.0}, "sim_upper_bound must lie in (0, 1)"),
+            (
+                {"sim_delta": 0.5, "sim_upper_bound": 0.5},
+                "sim_delta must be < sim_upper_bound",
+            ),
+            ({"corr_delta": float("nan")}, "corr_delta must lie in [0, 1)"),
+            ({"corr_upper_bound": 1.5}, "corr_upper_bound must lie in (0, 1)"),
+        ],
+        ids=[
+            "sim-delta-nan",
+            "sim-delta-negative",
+            "sim-delta-1",
+            "sim-upper-bound-inf",
+            "sim-upper-bound-0",
+            "sim-delta-at-upper-bound",
+            "corr-delta-nan",
+            "corr-upper-bound-1.5",
+        ],
+    )
+    def test_offsets_are_checked_naming_their_keys(self, dataset_dir, kwargs, message):
+        with pytest.raises(ConfigError) as raised:
+            ExperimentConfig(seed=1, dataset=str(dataset_dir), **kwargs)
+        assert str(raised.value) == message
+
+    def test_one_simulation_offset_is_checked_alone(self, dataset_dir):
+        # the other side comes from the dataset's metadata, checked later
+        cfg = ExperimentConfig(seed=1, dataset=str(dataset_dir), sim_upper_bound=0.05)
+        assert cfg.sim_upper_bound == 0.05 and cfg.sim_delta is None
+        cfg = ExperimentConfig(seed=1, dataset=str(dataset_dir), sim_delta=0.95)
+        assert cfg.sim_delta == 0.95 and cfg.sim_upper_bound is None
+
 
 class TestRunSimulationExperiment:
     def test_faithful_annotators_score_near_zero(self, dataset_dir):
@@ -803,6 +848,21 @@ class TestCli:
                 + ["inf", "--aggregate", "median", "--out", "{out}"],
                 "rescale must be a finite number >= 0",
             ),
+            (
+                ["simulate", "--dataset", "{ds}", "--seed", "1"]
+                + ["--sim-delta", "nan", "--out", "{out}"],
+                "sim_delta must lie in [0, 1)",
+            ),
+            (
+                ["simulate", "--dataset", "{ds}", "--seed", "1"]
+                + ["--sim-upper-bound", "inf", "--out", "{out}"],
+                "sim_upper_bound must lie in (0, 1)",
+            ),
+            (
+                ["compare-strategies", "--dataset", "{ds}", "--log", "{log}"]
+                + ["--seed", "1", "--sim-delta", "0.5", "--sim-upper-bound", "0.4"],
+                "sim_delta must be < sim_upper_bound",
+            ),
         ],
         ids=[
             "repetitions-0",
@@ -815,6 +875,9 @@ class TestCli:
             "speedups-nan",
             "rescale-nan",
             "rescale-inf-median",
+            "sim-delta-nan",
+            "sim-upper-bound-inf",
+            "sim-delta-above-upper-bound",
         ],
     )
     def test_malformed_input_exits_2_with_its_message(
@@ -834,6 +897,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--corr-delta", "nan"], "corr_delta must lie in [0, 1)"),
+            (["--corr-upper-bound", "1.5"], "corr_upper_bound must lie in (0, 1)"),
+            (
+                ["--corr-delta", "0.5", "--corr-upper-bound", "0.4"],
+                "corr_delta must be < corr_upper_bound",
+            ),
+        ],
+        ids=["corr-delta-nan", "corr-upper-bound-1.5", "corr-delta-above-upper-bound"],
+    )
+    def test_correct_and_simulate_refuse_correction_bounds_alike(
+        self, annotated_dataset_dir, tmp_path, capsys, flags, message
+    ):
+        common = ["--dataset", str(annotated_dataset_dir), "--seed", "1", *flags]
+        errors = []
+        for command, out in (("correct", "o.csv"), ("simulate", "out")):
+            assert main([command, *common, "--out", str(tmp_path / out)]) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {message}\n"] * 2
 
     def test_calibrate_study_rescale(self, tmp_path, capsys):
         ds, entries = banded_campaign(seed=0, delta=0.2)
