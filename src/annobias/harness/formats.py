@@ -25,7 +25,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -73,8 +73,10 @@ _MATRIX_KEYS = {"class_names", "rows", "metadata"}
 _ANNOTATIONS_HEADER = ["image_id", "annotator_idx", "class"]
 _LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
 
-# rows parsed, validated and repaired together; bounds the temporaries
+# images repaired and scored together; bounds the temporaries
 _BLOCK_ROWS = 128
+# rows of annotations.csv or an acceptance log read into columns at once
+_CHUNK_ROWS = 128
 # float cells formatted together; bounds the distinct strings held at once
 _CHUNK_CELLS = 2**16
 
@@ -131,25 +133,32 @@ def _dump_json(obj, path) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
 
 
+def _header(reader, path: Path, header: list, optional: Optional[str] = None) -> bool:
+    """Read the header row of a CSV ``reader``: it must be ``header``, or
+    ``header`` plus the ``optional`` column, in which case the result is true."""
+    got = next(reader, None)
+    if got is None:
+        raise FormatError(f"{path}:1: empty file, expected header {header}")
+    names = [h.strip() for h in got]
+    extra = optional is not None and names == header + [optional]
+    if not extra and names != header:
+        raise FormatError(f"{path}:1: header {got} does not match {header}")
+    return extra
+
+
 def _table(path: Path, header: list, optional: Optional[str] = None):
     """Rows of a UTF-8 CSV table: ``(line, image_id, fields, extra)``.
 
-    The header must be ``header``, or ``header`` plus the ``optional``
-    column, in which case ``extra`` is true.  Blank lines are skipped;
-    every other row must have one field per column and a non-empty first
-    field (the stripped ``image_id``).  Bad bytes or quoting raise
-    FormatError naming the file and line.
+    The header is checked as by :func:`_header`, ``extra`` telling whether
+    it has the ``optional`` column.  Blank lines are skipped; every other
+    row must have one field per column and a non-empty first field (the
+    stripped ``image_id``).  Bad bytes or quoting raise FormatError naming
+    the file and line.
     """
     with open(path, encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
-            got = next(reader, None)
-            if got is None:
-                raise FormatError(f"{path}:1: empty file, expected header {header}")
-            names = [h.strip() for h in got]
-            extra = optional is not None and names == header + [optional]
-            if not extra and names != header:
-                raise FormatError(f"{path}:1: header {got} does not match {header}")
+            extra = _header(reader, path, header, optional)
             width = len(header) + extra
             for row in reader:
                 if not row:
@@ -167,6 +176,42 @@ def _table(path: Path, header: list, optional: Optional[str] = None):
             raise _not_utf8(path, e) from e
         except csv.Error as e:
             raise FormatError(f"{path}:{reader.line_num}: {e}") from e
+
+
+# what a bulk reader raises where it cannot read a file as the row reader would
+_REFUSED = (ValueError, LookupError, csv.Error)
+
+
+def _bulk_or_rows(bulk, by_row, *args):
+    """``bulk(*args)``, or ``by_row(*args)`` where the bulk reader refuses.
+
+    A bulk reader raises one of ``_REFUSED`` at any file it might read
+    otherwise than its row reader, and then leaves its arguments as they
+    were.  The row reader raises FormatError naming the first bad line, or
+    reads the few valid files the bulk reader refuses (a float ``0_5``).
+    """
+    try:
+        return bulk(*args)
+    except _REFUSED:
+        return by_row(*args)
+
+
+def _chunks(path: Path, header: list):
+    """``(ids, *columns)`` of each chunk of up to ``_CHUNK_ROWS`` rows of a
+    CSV table, blank rows left out and ids stripped.  ValueError at a row of
+    another width, an empty id, or a chunk of blank rows only."""
+    with open(path, encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        _header(reader, path, header)
+        for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+            rows = [row for row in chunk if row]
+            if set(map(len, rows)) != {len(header)}:
+                raise ValueError("a row of another width")
+            ids, *columns = zip(*rows)
+            ids = list(map(str.strip, ids))
+            if not all(ids):
+                raise ValueError("an empty image_id")
+            yield ids, *columns
 
 
 def _float_texts(values):
@@ -351,54 +396,92 @@ def _class_index(path: Path, line: int, meta: DatasetMeta, name: str) -> int:
     return index
 
 
-def _gt_values(path: Path, block: list, k: int) -> np.ndarray:
-    """Validated ``float64[len(block), K]`` rows of a block of ``(line,
-    fields)``, converted in one call.  If that fails, the block is re-checked
-    row by row and the first bad row raises FormatError naming its line."""
-    try:
-        values = np.asarray([fields for _, fields in block], dtype=float)
-        return _validated_rows(values.reshape(len(block), k))
-    except ValueError:
-        rows = []
-    for line, fields in block:
+# separators numpy's C float parser skips as white space but float() refuses
+_C_ONLY_SPACES = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _c_lines(f):
+    """The lines of ``f``; ValueError at one numpy's C reader might read
+    otherwise than csv.reader and float(): one holding a separator of
+    ``_C_ONLY_SPACES``, or longer than csv's field size limit."""
+    limit = csv.field_size_limit()
+    for line in f:
+        if len(line) > limit or any(c in line for c in _C_ONLY_SPACES):
+            raise ValueError("a line the C reader may read otherwise")
+        yield line
+
+
+def _gt_columns(path: Path, meta: DatasetMeta):
+    """:func:`_gt_rows` of gt.csv, its body parsed in one ``np.loadtxt`` call."""
+    k = meta.num_classes
+    with open(path, encoding="utf-8", newline="") as f:
+        extra = _header(csv.reader(f), path, _gt_header(k), "proposal")
+        lines = _c_lines(f)
+        # loadtxt warns on a body without rows; csv.reader skips blank lines
+        first = next((line for line in lines if line.strip("\r\n")), None)
+        if first is None:
+            return {}, np.empty((0, k)), []
+        dtype = [("id", object), ("p", float, (k,))] + [("proposal", object)] * extra
+        table = np.loadtxt(
+            chain([first], lines),
+            dtype=dtype,
+            comments=None,
+            delimiter=",",
+            quotechar='"',
+            ndmin=1,
+        )
+    ids = list(map(str.strip, table["id"].tolist()))
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids) or not all(ids):
+        raise ValueError("an empty or repeated image_id")
+    probs = _validated_rows(table["p"].copy())
+    proposals = [-1] * len(ids)
+    if extra:
+        lookup = meta._index.__getitem__
+        names = map(str.strip, table["proposal"].tolist())
+        proposals = [lookup(name) if name else -1 for name in names]
+    return index, probs, proposals
+
+
+def _gt_rows(path: Path, meta: DatasetMeta):
+    """Parse gt.csv row by row into the ``index`` of image ids to rows,
+    ``probs[N, K]`` and ``proposals[N]``, -1 marking no proposal."""
+    k = meta.num_classes
+    index, probs, proposals = {}, [], []
+    for line, image_id, row, extra in _table(path, _gt_header(k), "proposal"):
+        if image_id in index:
+            raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
+        index[image_id] = len(index)
         try:
-            probs = [float(v) for v in fields]
+            values = np.array([[float(v) for v in row[1 : 1 + k]]])
         except ValueError as e:
             raise FormatError(f"{path}:{line}: {e}") from e
         try:
-            rows.append(_validated_rows(np.array([probs]))[0])
+            probs.append(_validated_rows(values)[0])
         except ValueError as e:
             raise FormatError(
                 f"{path}:{line}: non-normalizable soft label ({e})"
             ) from e
-    return np.array(rows)
+        name = row[-1].strip() if extra else ""
+        proposals.append(_class_index(path, line, meta, name) if name else -1)
+    return index, np.array(probs).reshape(len(probs), k), proposals
 
 
-def _load_gt(path: Path, meta: DatasetMeta, index: dict):
-    """Parse gt.csv in blocks of ``_BLOCK_ROWS`` rows into ``(probs[N, K],
-    proposals[N])``, -1 marking no proposal, and add each id's row to
-    ``index``."""
-    k = meta.num_classes
-    values, proposals, block = [], [], []
-    try:
-        for line, image_id, row, extra in _table(path, _gt_header(k), "proposal"):
-            if image_id in index:
-                raise FormatError(f"{path}:{line}: duplicate image_id {image_id!r}")
-            index[image_id] = len(index)
-            block.append((line, row[1 : 1 + k]))
-            name = row[-1].strip() if extra else ""
-            proposals.append(_class_index(path, line, meta, name) if name else -1)
-            if len(block) == _BLOCK_ROWS:
-                block, full = [], block
-                values.append(_gt_values(path, full, k))
-    except FormatError:
-        _gt_values(path, block, k)  # a bad row earlier in the block comes first
-        raise
-    values.append(_gt_values(path, block, k))
-    return np.concatenate(values), proposals
+def _annotation_columns(path: Path, meta: DatasetMeta, index: dict):
+    """:func:`_annotation_rows`, read in chunks of columns; ``index`` is
+    extended only once the whole file has been read."""
+    seen, rows, classes = dict(index), [], []
+    lookup = meta._index.__getitem__
+    for ids, annotators, names in _chunks(path, _ANNOTATIONS_HEADER):
+        if min(map(int, annotators)) < 0:
+            raise ValueError("a negative annotator_idx")
+        classes += map(lookup, map(str.strip, names))
+        rows += [seen.setdefault(i, len(seen)) for i in ids]
+    index.update(seen)
+    return rows, classes
 
 
-def _load_annotations(path: Path, meta: DatasetMeta, index: dict):
+def _annotation_rows(path: Path, meta: DatasetMeta, index: dict):
     """Parse annotations.csv into each annotation's image row and class
     index, in file order; ids missing from ``index`` are added to it."""
     rows, classes = [], []
@@ -433,11 +516,15 @@ def load_dataset(path) -> Dataset:
     if not gt_path.exists() and not ann_path.exists():
         raise FormatError(f"{root}: need {GT_NAME} or {ANNOTATIONS_NAME}")
     # soft labels come from gt.csv when it exists, even with no rows
-    index = {}
-    gt = _load_gt(gt_path, meta, index) if gt_path.exists() else (None, None)
-    probs, proposals = gt
+    index, probs, proposals = {}, None, None
+    if gt_path.exists():
+        index, probs, proposals = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
     n = len(index)
-    ann = _load_annotations(ann_path, meta, index) if ann_path.exists() else ((), ())
+    ann = ((), ())
+    if ann_path.exists():
+        ann = _bulk_or_rows(
+            _annotation_columns, _annotation_rows, ann_path, meta, index
+        )
     if probs is not None and len(index) > n:
         # ids past gt.csv's were added in annotations.csv order, so row n
         # is the first orphan in that file
@@ -475,14 +562,26 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_acceptance_log(path, meta: DatasetMeta):
     """Read an acceptance log into class-index entries, preserving order."""
-    p = Path(path)
+    return _bulk_or_rows(_log_columns, _log_rows, Path(path), meta)
+
+
+def _log_columns(path: Path, meta: DatasetMeta) -> list:
+    """:func:`_log_rows`, read in chunks of columns."""
+    lookup = meta._index.__getitem__
+    entries = []
+    for ids, *names in _chunks(path, _LOG_HEADER):
+        entries += map(LogEntry, ids, *(map(lookup, map(str.strip, c)) for c in names))
+    return entries
+
+
+def _log_rows(path: Path, meta: DatasetMeta) -> list:
     return [
         LogEntry(
             image_id,
-            _class_index(p, line, meta, row[1]),
-            _class_index(p, line, meta, row[2]),
+            _class_index(path, line, meta, row[1]),
+            _class_index(path, line, meta, row[2]),
         )
-        for line, image_id, row, _ in _table(p, _LOG_HEADER)
+        for line, image_id, row, _ in _table(path, _LOG_HEADER)
     ]
 
 
@@ -591,7 +690,8 @@ def load_transition_matrix(path) -> TransitionMatrixFile:
         not isinstance(rows, list)
         or not rows
         or not all(isinstance(r, list) for r in rows)
-        or not all(_is_number(v) for r in rows for v in r)
+        # json gives exact types, and a bool is not a number here
+        or not {int, float}.issuperset(map(type, chain.from_iterable(rows)))
     ):
         raise FormatError(f"{p}: 'rows' must be a non-empty list of number lists")
     if any(len(r) != len(rows) for r in rows):

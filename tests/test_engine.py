@@ -347,6 +347,15 @@ def _mixed_dataset(tmp_path, n_images=11):
     return path
 
 
+def _mixed_matrix(tmp_path) -> str:
+    """A K=9 confusion matrix file, so no run estimates one from the
+    dataset's stream-drawn labels (a sample may miss a top class)."""
+    rows = TransitionMatrix.from_rows(0.55 * np.eye(9) + 0.05)
+    path = tmp_path / "matrix.json"
+    save_transition_matrix(TransitionMatrixFile.from_matrix(rows), path)
+    return str(path)
+
+
 def _per_cell(cfg):
     """``simulate`` written as the per-(image, count) loop of one-row calls."""
     dataset = experiments.load_dataset(cfg.dataset)
@@ -425,6 +434,7 @@ def test_simulate_matches_the_per_cell_loop(tmp_path, monkeypatch, strategy, fla
     cfg = ExperimentConfig(
         seed=31,
         dataset=str(_mixed_dataset(tmp_path)),
+        transitions=_mixed_matrix(tmp_path),
         strategy=strategy,
         annotations=(1, 3, 20),
         metrics=("kl", "l1"),
@@ -458,7 +468,12 @@ def test_first_failing_cell_in_image_major_order_names_the_error(tmp_path, monke
         return SimpleNamespace(counts=counts)
 
     monkeypatch.setattr(experiments, "simulate_strategy_set", corrupt)
-    cfg = ExperimentConfig(seed=3, dataset=str(path), annotations=(1, 3, 20))
+    cfg = ExperimentConfig(
+        seed=3,
+        dataset=str(path),
+        transitions=_mixed_matrix(tmp_path),
+        annotations=(1, 3, 20),
+    )
     message = r"^image 'img_0002': probabilities sum to 2.0, not normalizable$"
     with pytest.raises(RuntimeError, match=message):
         run_simulation_experiment(cfg)
