@@ -47,11 +47,12 @@ from .config import ConfigError, ExperimentConfig
 from .formats import (
     _BLOCK_ROWS,
     FormatError,
+    _dataset_meta,
     _dump_json,
     _join,
+    _log_rows,
     _read_json,
     _write_table,
-    load_acceptance_log,
     load_dataset,
     load_transition_matrix,
     two_proposal_records_from_log,
@@ -97,6 +98,11 @@ class Report:
 def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
     delta = meta.delta if cfg.sim_delta is None else cfg.sim_delta
     ub = meta.upper_bound if cfg.sim_upper_bound is None else cfg.sim_upper_bound
+    # the config checks a pair it holds in full; here meta.json gives one side
+    if not delta < ub and cfg.sim_delta is None:
+        raise ConfigError(f"sim_upper_bound {ub} must be > meta.json's delta {delta}")
+    if not delta < ub:
+        raise ConfigError(f"sim_delta {delta} must be < meta.json's upper_bound {ub}")
     return SimulationParams(
         delta=delta, upper_bound=ub, reject_fallback=cfg.reject_fallback
     )
@@ -276,13 +282,12 @@ def run_strategy_comparison(
     mean normalized distance, best first.
     """
     dataset = load_dataset(cfg.dataset)
-    entries = load_acceptance_log(log_path, dataset.meta)
-    if not entries:
+    ids, proposals, annotated = _log_rows(log_path, dataset.meta)
+    if not ids:
         raise FormatError(f"{log_path}: log contains no entries")
-    # load_dataset checked the soft labels, load_acceptance_log each class's range
-    rows = _join(entries, dataset._rows, log_path)
-    ids, *classes = zip(*entries)
-    group = (np.arange(len(ids)), dataset.probs[rows], *np.array(classes, np.int64))
+    # load_dataset checked the soft labels, _log_rows each class's range
+    rows = _join(ids, dataset._rows, log_path)
+    group = (np.arange(len(ids)), dataset.probs[rows], proposals, annotated)
     sim = _effective_sim_params(cfg, dataset.meta)
     ranked = _compare(ids, [group], tuple(Strategy), sim, repetitions, cfg.seed)
     return sorted(ranked, key=lambda r: (r.mean, r.strategy.name))
@@ -302,19 +307,22 @@ def run_calibration(
     """Estimate the acceptance offset from a logged annotation campaign.
 
     ``method`` is ``"banded"`` (needs ground truth from the dataset) or
-    ``"two-proposal"`` (needs each image annotated under two proposals).
-    Returns a report dict with the estimate and the record counts that
-    went into it.
+    ``"two-proposal"`` (needs each image annotated under two proposals, and
+    of the dataset only its ``meta.json``).  Returns a report dict with the
+    estimate and the record counts that went into it.
     """
-    dataset = load_dataset(cfg.dataset)
-    entries = load_acceptance_log(log_path, dataset.meta)
-    if not entries:
+    if method == "banded":
+        dataset = load_dataset(cfg.dataset)
+        meta = dataset.meta
+    else:
+        meta = _dataset_meta(Path(cfg.dataset))
+    ids, proposals, annotated = _log_rows(log_path, meta)
+    if not ids:
         raise CalibrationError("insufficient calibration data: empty log")
-    sim = _effective_sim_params(cfg, dataset.meta)
+    sim = _effective_sim_params(cfg, meta)
 
     if method == "banded":
-        rows = _join(entries, dataset._rows, log_path)
-        proposals, annotated = np.array(list(zip(*entries))[1:], dtype=np.int64)
+        rows = _join(ids, dataset._rows, log_path)
         masses = dataset.probs[rows, proposals]
         occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
         occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
@@ -334,14 +342,15 @@ def run_calibration(
             "rescale": rescale,
             "aggregate": aggregate,
             "upper_bound": sim.upper_bound,
-            "n_records": len(entries),
+            "n_records": len(ids),
             "n_in_band_records": inside.size,
             "n_in_band_images": len(images),
             "occupancy": occupancy_by_bin,
         }
     if method == "two-proposal":
         try:
-            records = two_proposal_records_from_log(entries, dataset.num_classes)
+            entries = zip(ids, proposals.tolist(), annotated.tolist())
+            records = two_proposal_records_from_log(entries, meta.num_classes)
         except FormatError as e:
             raise FormatError(f"{log_path}: {e}") from e
         raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)

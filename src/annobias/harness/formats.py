@@ -75,8 +75,6 @@ _LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
 
 # images repaired and scored together; bounds the temporaries
 _BLOCK_ROWS = 128
-# rows of annotations.csv or an acceptance log read into columns at once
-_CHUNK_ROWS = 128
 # float cells formatted together; bounds the distinct strings held at once
 _CHUNK_CELLS = 2**16
 
@@ -194,24 +192,6 @@ def _bulk_or_rows(bulk, by_row, *args):
         return bulk(*args)
     except _REFUSED:
         return by_row(*args)
-
-
-def _chunks(path: Path, header: list):
-    """``(ids, *columns)`` of each chunk of up to ``_CHUNK_ROWS`` rows of a
-    CSV table, blank rows left out and ids stripped.  ValueError at a row of
-    another width, an empty id, or a chunk of blank rows only."""
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        _header(reader, path, header)
-        for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
-            rows = [row for row in chunk if row]
-            if set(map(len, rows)) != {len(header)}:
-                raise ValueError("a row of another width")
-            ids, *columns = zip(*rows)
-            ids = list(map(str.strip, ids))
-            if not all(ids):
-                raise ValueError("an empty image_id")
-            yield ids, *columns
 
 
 def _float_texts(values):
@@ -467,24 +447,11 @@ def _gt_rows(path: Path, meta: DatasetMeta):
     return index, np.array(probs).reshape(len(probs), k), proposals
 
 
-def _annotation_columns(path: Path, meta: DatasetMeta, index: dict):
-    """:func:`_annotation_rows`, read in chunks of columns; ``index`` is
-    extended only once the whole file has been read."""
-    seen, rows, classes = dict(index), [], []
-    lookup = meta._index.__getitem__
-    for ids, annotators, names in _chunks(path, _ANNOTATIONS_HEADER):
-        if min(map(int, annotators)) < 0:
-            raise ValueError("a negative annotator_idx")
-        classes += map(lookup, map(str.strip, names))
-        rows += [seen.setdefault(i, len(seen)) for i in ids]
-    index.update(seen)
-    return rows, classes
-
-
 def _annotation_rows(path: Path, meta: DatasetMeta, index: dict):
     """Parse annotations.csv into each annotation's image row and class
     index, in file order; ids missing from ``index`` are added to it."""
     rows, classes = [], []
+    get = meta._index.get
     for line, image_id, row, _ in _table(path, _ANNOTATIONS_HEADER):
         try:
             idx = int(row[1])
@@ -492,9 +459,20 @@ def _annotation_rows(path: Path, meta: DatasetMeta, index: dict):
             raise FormatError(f"{path}:{line}: {e}") from e
         if idx < 0:
             raise FormatError(f"{path}:{line}: negative annotator_idx")
-        classes.append(_class_index(path, line, meta, row[2]))
+        c = get(row[2].strip())
+        classes.append(_class_index(path, line, meta, row[2]) if c is None else c)
         rows.append(index.setdefault(image_id, len(index)))
     return rows, classes
+
+
+def _dataset_meta(root: Path) -> DatasetMeta:
+    """The ``meta.json`` of the dataset directory ``root``."""
+    if not os.path.isdir(root):
+        raise FormatError(f"{root}: not a dataset directory")
+    meta_path = root / META_NAME
+    if not meta_path.exists():
+        raise FormatError(f"{meta_path}: missing metadata file")
+    return _load_meta(meta_path)
 
 
 def load_dataset(path) -> Dataset:
@@ -504,13 +482,7 @@ def load_dataset(path) -> Dataset:
     ``annotations.csv``; at least one of the two must exist.
     """
     root = Path(path)
-    if not os.path.isdir(root):
-        raise FormatError(f"{root}: not a dataset directory")
-    meta_path = root / META_NAME
-    if not meta_path.exists():
-        raise FormatError(f"{meta_path}: missing metadata file")
-    meta = _load_meta(meta_path)
-
+    meta = _dataset_meta(root)
     gt_path = root / GT_NAME
     ann_path = root / ANNOTATIONS_NAME
     if not gt_path.exists() and not ann_path.exists():
@@ -522,9 +494,7 @@ def load_dataset(path) -> Dataset:
     n = len(index)
     ann = ((), ())
     if ann_path.exists():
-        ann = _bulk_or_rows(
-            _annotation_columns, _annotation_rows, ann_path, meta, index
-        )
+        ann = _annotation_rows(ann_path, meta, index)
     if probs is not None and len(index) > n:
         # ids past gt.csv's were added in annotations.csv order, so row n
         # is the first orphan in that file
@@ -560,29 +530,25 @@ def save_dataset(dataset: Dataset, path) -> None:
         _write_table(root / ANNOTATIONS_NAME, _ANNOTATIONS_HEADER, rows)
 
 
-def load_acceptance_log(path, meta: DatasetMeta):
+def load_acceptance_log(path, meta: DatasetMeta) -> list:
     """Read an acceptance log into class-index entries, preserving order."""
-    return _bulk_or_rows(_log_columns, _log_rows, Path(path), meta)
+    ids, proposals, annotated = _log_rows(path, meta)
+    return list(map(LogEntry, ids, proposals.tolist(), annotated.tolist()))
 
 
-def _log_columns(path: Path, meta: DatasetMeta) -> list:
-    """:func:`_log_rows`, read in chunks of columns."""
-    lookup = meta._index.__getitem__
-    entries = []
-    for ids, *names in _chunks(path, _LOG_HEADER):
-        entries += map(LogEntry, ids, *(map(lookup, map(str.strip, c)) for c in names))
-    return entries
-
-
-def _log_rows(path: Path, meta: DatasetMeta) -> list:
-    return [
-        LogEntry(
-            image_id,
-            _class_index(path, line, meta, row[1]),
-            _class_index(path, line, meta, row[2]),
-        )
-        for line, image_id, row, _ in _table(path, _LOG_HEADER)
-    ]
+def _log_rows(path, meta: DatasetMeta):
+    """Parse an acceptance log into its image ``ids`` and the class indices
+    ``proposals`` and ``annotated`` (``int64[N]``), in file order."""
+    path, ids, proposals, annotated = Path(path), [], [], []
+    get = meta._index.get
+    for line, image_id, row, _ in _table(path, _LOG_HEADER):
+        p, a = get(row[1].strip()), get(row[2].strip())
+        if p is None or a is None:
+            p, a = (_class_index(path, line, meta, name) for name in row[1:])
+        ids.append(image_id)
+        proposals.append(p)
+        annotated.append(a)
+    return ids, np.array(proposals, np.int64), np.array(annotated, np.int64)
 
 
 def save_acceptance_log(entries: Sequence[LogEntry], path, meta: DatasetMeta) -> None:
@@ -595,20 +561,19 @@ def acceptance_records_from_log(
     entries: Sequence[LogEntry], gt_by_id: Mapping[str, LabelDistribution]
 ) -> list:
     """Join log entries with their images' soft labels."""
-    gts = _join(entries, gt_by_id)
+    gts = _join([e.image_id for e in entries], gt_by_id)
     return [AcceptanceRecord(*e, gt) for e, gt in zip(entries, gts)]
 
 
-def _join(entries: Sequence[LogEntry], by_id: Mapping, path=None) -> list:
-    """``by_id`` at each log entry's image id.  An unknown id raises FormatError,
-    naming its line of the log at ``path`` if one is given."""
+def _join(ids: Sequence[str], by_id: Mapping, path=None) -> list:
+    """``by_id`` at each of a log's image ``ids``.  An unknown id raises
+    FormatError, naming its line of the log at ``path`` if one is given."""
     try:
-        return [by_id[e.image_id] for e in entries]
+        return [by_id[image_id] for image_id in ids]
     except KeyError:
-        i = next(i for i, e in enumerate(entries) if e.image_id not in by_id)
+        i = next(i for i, image_id in enumerate(ids) if image_id not in by_id)
     at = "" if path is None else f"{path}:{_line_of(Path(path), _LOG_HEADER, i)}: "
-    image_id = entries[i].image_id
-    raise FormatError(f"{at}acceptance log references unknown image_id {image_id!r}")
+    raise FormatError(f"{at}acceptance log references unknown image_id {ids[i]!r}")
 
 
 def _line_of(path: Path, header: list, i: int):
@@ -617,17 +582,16 @@ def _line_of(path: Path, header: list, i: int):
     return next(islice(_table(path, header), i, None), "?")[0]
 
 
-def two_proposal_records_from_log(
-    entries: Sequence[LogEntry], num_classes: int
-) -> list:
-    """Group log entries into two-round records, one per image.
+def two_proposal_records_from_log(entries, num_classes: int) -> list:
+    """Group log entries, ``(image_id, proposal, annotated)`` triples such as
+    :class:`LogEntry`, into two-round records, one per image.
 
     Every image must appear with exactly two distinct proposals; the
     round order follows first appearance in the log.
     """
     rounds = {}  # image id -> proposal -> annotated classes, in log order
-    for e in entries:
-        rounds.setdefault(e.image_id, {}).setdefault(e.proposal, []).append(e.annotated)
+    for image_id, proposal, annotated in entries:
+        rounds.setdefault(image_id, {}).setdefault(proposal, []).append(annotated)
     records = []
     for image_id, by_proposal in rounds.items():
         if len(by_proposal) != 2:

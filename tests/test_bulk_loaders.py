@@ -1,11 +1,13 @@
-"""The bulk table readers against the row reader they fall back to.
+"""The table readers against row-by-row references.
 
-``gt.csv`` is parsed by numpy's C reader, annotations and acceptance logs
-in chunks of columns.  Where a bulk reader returns, the row reader must
-return the same columns; the public loaders must return what the row
-reader returns or raise FormatError with its text.  The inputs mix line
-ends, blank and white-space lines, quoting, floats that only ``float()``
-reads, header-only and empty files, and invalid UTF-8.
+``gt.csv`` is parsed by numpy's C reader and falls back to its row
+reader; where the bulk reader returns, the row reader must return the same
+columns, and the public loader must return what the row reader returns or
+raise FormatError with its text.  Annotations and acceptance logs have one
+reader each, checked against plain row loops kept here as references
+(``_reference_annotation_rows``, ``_reference_log_rows``).  The inputs mix
+line ends, blank and white-space lines, quoting, floats that only
+``float()`` reads, header-only and empty files, and invalid UTF-8.
 """
 
 import tempfile
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from annobias import DatasetMeta
 from annobias.harness import formats
-from annobias.harness.formats import FormatError
+from annobias.harness.formats import FormatError, LogEntry
 
 # numpy warns on a table without rows; the bulk readers must not ask it to
 pytestmark = pytest.mark.filterwarnings("error::UserWarning")
@@ -132,6 +134,37 @@ def _gt_form(result):
     return list(index.items()), probs.shape, probs.tobytes(), list(proposals)
 
 
+def _reference_annotation_rows(path, meta, index):
+    """A row loop over annotations.csv that looks every class name up
+    through ``_class_index``: the reference for ``_annotation_rows``."""
+    _table, _class_index = formats._table, formats._class_index
+    rows, classes = [], []
+    for line, image_id, row, _ in _table(path, formats._ANNOTATIONS_HEADER):
+        try:
+            idx = int(row[1])
+        except ValueError as e:
+            raise FormatError(f"{path}:{line}: {e}") from e
+        if idx < 0:
+            raise FormatError(f"{path}:{line}: negative annotator_idx")
+        classes.append(_class_index(path, line, meta, row[2]))
+        rows.append(index.setdefault(image_id, len(index)))
+    return rows, classes
+
+
+def _reference_log_rows(path, meta):
+    """A row loop over an acceptance log that builds one LogEntry per row:
+    the reference for ``load_acceptance_log`` and ``_log_rows``."""
+    _table, _class_index = formats._table, formats._class_index
+    return [
+        LogEntry(
+            image_id,
+            _class_index(path, line, meta, row[1]),
+            _class_index(path, line, meta, row[2]),
+        )
+        for line, image_id, row, _ in _table(path, formats._LOG_HEADER)
+    ]
+
+
 def _check(bulk, want, same):
     """A bulk result, where there is one, is the row reader's."""
     if bulk is not None:
@@ -177,22 +210,17 @@ def test_gt_columns_match_the_row_reader(data):
 def test_annotation_columns_match_the_row_reader(data):
     def read(read, path):
         index = {"x": 0, "é": 1}
-        result = read(path, META, index)
-        return result if isinstance(result, str) else (*result, list(index.items()))
+        try:
+            result = read(path, META, index)
+        except FormatError as e:
+            result = str(e)
+        return result, list(index.items())
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "annotations.csv"
         path.write_bytes(data)
-        want = _outcome(read, formats._annotation_rows, path)
-        both = lambda *args: formats._bulk_or_rows(
-            formats._annotation_columns, formats._annotation_rows, *args
-        )
-        assert _outcome(read, both, path) == want
-        index = {"x": 0, "é": 1}
-        bulk = _bulk(formats._annotation_columns, path, META, index)
-        if bulk is None:
-            assert index == {"x": 0, "é": 1}  # a refused file leaves it as it was
-        _check(None if bulk is None else (*bulk, list(index.items())), want, tuple)
+        want = read(_reference_annotation_rows, path)
+        assert read(formats._annotation_rows, path) == want
 
 
 @settings(max_examples=400, deadline=None)
@@ -207,9 +235,17 @@ def test_log_columns_match_the_row_reader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "acceptance_log.csv"
         path.write_bytes(data)
-        want = _outcome(formats._log_rows, path, META)
-        assert _outcome(formats.load_acceptance_log, path, META) == want
-        _check(_bulk(formats._log_columns, path, META), want, list)
+        want = _outcome(_reference_log_rows, path, META)
+        got = _outcome(formats.load_acceptance_log, path, META)
+        assert got == want
+        if not isinstance(want, str):
+            assert [type(v) for e in got for v in e] == [str, int, int] * len(got)
+        columns = _outcome(formats._log_rows, path, META)
+        if isinstance(columns, tuple):
+            ids, proposals, annotated = columns
+            assert proposals.dtype == annotated.dtype == "int64"
+            columns = list(map(LogEntry, ids, proposals.tolist(), annotated.tolist()))
+        assert columns == want
 
 
 def test_plain_tables_take_the_bulk_readers(tmp_path):
@@ -220,9 +256,11 @@ def test_plain_tables_take_the_bulk_readers(tmp_path):
     index, probs, proposals = formats._gt_columns(gt, META)
     assert index == {"x": 0, "y,1": 1} and probs.tolist() == [[0.5, 0.5], [1, 0]]
     assert proposals == [0, -1]
-    assert formats._annotation_columns(ann, META, index) == ([0, 2], [0, 1])
+    # annotations and logs have one reader each
+    assert formats._annotation_rows(ann, META, index) == ([0, 2], [0, 1])
     assert index == {"x": 0, "y,1": 1, "z": 2}
-    assert formats._log_columns(log, META) == [formats.LogEntry("x", 0, 1)]
+    ids, proposals, annotated = formats._log_rows(log, META)
+    assert (ids, proposals.tolist(), annotated.tolist()) == (["x"], [0], [1])
 
 
 @pytest.mark.parametrize("body", ["", "\n\r\n\r"])

@@ -1,12 +1,21 @@
 """Commands that read the dataset columns: they never build the
-``Dataset.images`` view, and the columnar strategy comparison equals both the
-record API and the per-draw reference loop."""
+``Dataset.images`` view or a ``LogEntry``, and the columnar strategy
+comparison equals both the record API and the per-draw reference loop."""
+
+import shutil
 
 import numpy as np
 import pytest
 
-from annobias import AnnotationSet, Strategy, compare_strategies
+from annobias import (
+    AnnotationSet,
+    DatasetMeta,
+    LabelDistribution,
+    Strategy,
+    compare_strategies,
+)
 from annobias.core import TransitionMatrix
+from annobias.harness import formats
 from annobias.harness.cli import main
 from annobias.harness.config import ExperimentConfig
 from annobias.harness.experiments import (
@@ -26,7 +35,12 @@ from annobias.harness.formats import (
     save_transition_matrix,
 )
 
-from conftest import banded_campaign, build_dataset, campaign_records
+from conftest import (
+    banded_campaign,
+    build_dataset,
+    campaign_records,
+    two_proposal_dataset,
+)
 from test_rng import _per_draw_compare
 
 
@@ -47,9 +61,10 @@ def view_builds(monkeypatch):
 
 @pytest.fixture
 def paths(tmp_path):
-    """A banded campaign (dataset and log) and an annotated three-class
-    dataset on which every class is the top class of some image, plus an
-    identity matrix file."""
+    """A banded campaign (dataset and log), an annotated three-class
+    dataset on which every class is the top class of some image, an
+    identity matrix file, and a six-class two-round log with its dataset
+    and a copy of that dataset's ``meta.json`` alone."""
     campaign, entries = banded_campaign(seed=3, delta=0.1, annotations_per_image=10)
     save_dataset(campaign, tmp_path / "campaign")
     save_acceptance_log(entries, tmp_path / "log.csv", campaign.meta)
@@ -65,6 +80,20 @@ def paths(tmp_path):
 
     matrix = TransitionMatrixFile.from_matrix(TransitionMatrix.identity(3))
     save_transition_matrix(matrix, tmp_path / "matrix.json")
+
+    meta, images, entries = DatasetMeta(tuple(f"c{i}" for i in range(6))), [], []
+    for rec in two_proposal_dataset(seed=0, delta=0.1, n_records=30):
+        gt = LabelDistribution(np.full(6, 1 / 6))
+        images.append(ImageRecord(rec.image_id, gt, None, (), None))
+        for rho, tally in zip(
+            (rec.proposal_a, rec.proposal_b), (rec.annotations_a, rec.annotations_b)
+        ):
+            classes = np.repeat(np.arange(6), tally.counts).tolist()
+            entries += [LogEntry(rec.image_id, rho, c) for c in classes]
+    save_dataset(Dataset(meta, tuple(images)), tmp_path / "six")
+    save_acceptance_log(entries, tmp_path / "two_rounds.csv", meta)
+    (tmp_path / "meta_only").mkdir()
+    shutil.copy(tmp_path / "six" / "meta.json", tmp_path / "meta_only")
     return tmp_path
 
 
@@ -102,6 +131,8 @@ def _argv(template, root):
         "log": root / "log.csv",
         "matrix": root / "matrix.json",
         "out": root / "out",
+        "six": root / "six",
+        "two_rounds": root / "two_rounds.csv",
     }
     return [arg.format(**{k: str(v) for k, v in names.items()}) for arg in template]
 
@@ -112,6 +143,40 @@ def test_column_commands_never_build_the_images_view(command, paths, view_builds
     out = paths / "out"
     assert (out / "results.csv" if command == "simulate" else out).is_file()
     assert view_builds == []
+
+
+_LOG_COMMANDS = {
+    "compare-strategies": _COLUMN_COMMANDS["compare-strategies"],
+    "calibrate-banded": _COLUMN_COMMANDS["calibrate-banded"],
+    "calibrate-two-proposal": [
+        "calibrate", "--dataset", "{six}", "--log", "{two_rounds}",
+        "--method", "two-proposal", "--out", "{out}",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", list(_LOG_COMMANDS))
+def test_log_commands_build_no_log_entries(command, paths, monkeypatch):
+    argv = _argv(_LOG_COMMANDS[command], paths)
+    assert main(argv) == 0
+    want = (paths / "out").read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("a command built a LogEntry")
+
+    monkeypatch.setattr(formats, "LogEntry", refuse)
+    assert main(argv) == 0
+    assert (paths / "out").read_bytes() == want
+
+
+def test_two_proposal_calibrate_needs_only_meta_json(paths):
+    argv = _argv(_LOG_COMMANDS["calibrate-two-proposal"], paths)
+    assert main(argv) == 0
+    want = (paths / "out").read_bytes()
+    (paths / "out").unlink()
+    argv[argv.index(str(paths / "six"))] = str(paths / "meta_only")
+    assert main(argv) == 0
+    assert (paths / "out").read_bytes() == want
 
 
 @pytest.mark.parametrize("name", ["campaign", "annotated"])

@@ -863,6 +863,26 @@ class TestCli:
                 + ["--seed", "1", "--sim-delta", "0.5", "--sim-upper-bound", "0.4"],
                 "sim_delta must be < sim_upper_bound",
             ),
+            (
+                ["compare-strategies", "--dataset", "{clash}", "--log", "{log}"]
+                + ["--seed", "1", "--sim-delta", "0.995"],
+                "sim_delta 0.995 must be < meta.json's upper_bound 0.99",
+            ),
+            (
+                ["compare-strategies", "--dataset", "{clash}", "--log", "{log}"]
+                + ["--seed", "1", "--sim-upper-bound", "0.05"],
+                "sim_upper_bound 0.05 must be > meta.json's delta 0.5",
+            ),
+            (
+                ["simulate", "--dataset", "{clash}", "--seed", "1"]
+                + ["--sim-delta", "0.995", "--out", "{out}"],
+                "sim_delta 0.995 must be < meta.json's upper_bound 0.99",
+            ),
+            (
+                ["simulate", "--dataset", "{clash}", "--seed", "1"]
+                + ["--sim-upper-bound", "0.05", "--out", "{out}"],
+                "sim_upper_bound 0.05 must be > meta.json's delta 0.5",
+            ),
         ],
         ids=[
             "repetitions-0",
@@ -878,6 +898,10 @@ class TestCli:
             "sim-delta-nan",
             "sim-upper-bound-inf",
             "sim-delta-above-upper-bound",
+            "compare-sim-delta-above-meta-upper-bound",
+            "compare-sim-upper-bound-below-meta-delta",
+            "simulate-sim-delta-above-meta-upper-bound",
+            "simulate-sim-upper-bound-below-meta-delta",
         ],
     )
     def test_malformed_input_exits_2_with_its_message(
@@ -891,8 +915,13 @@ class TestCli:
         numbered = tmp_path / "numbered"
         save_dataset(load_dataset(ds_dir), numbered)
         (numbered / "meta.json").write_text(json.dumps({"class_names": [1, 2]}))
+        clash = tmp_path / "clash"  # an offset a lone flag can clash with
+        save_dataset(load_dataset(ds_dir), clash)
+        meta = json.loads((clash / "meta.json").read_text())
+        meta.update(delta=0.5, upper_bound=0.99)
+        (clash / "meta.json").write_text(json.dumps(meta))
         paths = {"ds": ds_dir, "log": log_path, "out": tmp_path / "out"}
-        paths.update(config=config, numbered=numbered)
+        paths.update(config=config, numbered=numbered, clash=clash)
         assert main([arg.format(**paths) for arg in argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
