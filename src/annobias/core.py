@@ -325,26 +325,20 @@ def _uniform_index(n: int, u):
     return np.minimum(np.asarray(u * n, dtype=np.int64), n - 1)
 
 
-def _draw_class(probs: np.ndarray, u):
-    """Class drawn from ``probs`` by inverse CDF, per uniform in ``u``.
-
-    ``probs`` is one distribution ``[K]`` with ``u`` a float or an array
-    of them, or rows ``[R, K]`` with one uniform per row in ``u[R]``; the
-    result has the shape of ``u``.
-    """
+def _draw_class(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Class drawn by inverse CDF from row ``i`` of ``probs[R, K]`` with ``u[i]``."""
     # entries at or below u in a nondecreasing cumsum: searchsorted "right"
-    cdf = probs.cumsum(axis=-1)
-    idx = (cdf <= np.asarray(u)[..., None]).sum(axis=-1)
-    k = probs.shape[-1]
+    idx = (probs.cumsum(axis=1) <= u[:, None]).sum(axis=1)
+    k = probs.shape[1]
     overflow = idx >= k
     if not overflow.any():
         return idx
     # float-dust guard: cumulative sum can fall a hair short of 1; the
     # draw then takes the last class with mass (the last class if none)
-    last = k - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    last = k - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
     return np.where(overflow, last, idx)
 
 
 def sample_class(d: LabelDistribution, rng: np.random.Generator) -> int:
     """Draw a class index with probability ``d[k]`` using one uniform."""
-    return int(_draw_class(d.probs, rng.random()))
+    return int(_draw_class(d.probs[None], np.array([rng.random()]))[0])

@@ -96,6 +96,12 @@ def _check_offset(side: str, delta, upper_bound) -> None:
         raise ConfigError(f"{d} must be < {ub}")
 
 
+def _check_seed(seed) -> None:
+    """ConfigError unless 0 <= seed < 2**64, every command's seed range; None skips."""
+    if seed is not None and not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a simulation experiment needs besides the data itself.
@@ -134,8 +140,7 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.name in _CONVERSIONS and not (value is None and f.default is None):
                 object.__setattr__(self, f.name, _converted(f.name, value))
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        _check_seed(self.seed)
         if not os.path.isdir(self.dataset):
             raise ConfigError(f"dataset directory not found: {self.dataset}")
         try:

@@ -43,7 +43,7 @@ from ..metrics import (
 )
 from ..rng import substream
 from ..simulation import SimulationParams, Strategy, simulate_strategy_set
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, _check_seed
 from .formats import (
     _BLOCK_ROWS,
     FormatError,
@@ -52,6 +52,7 @@ from .formats import (
     _join,
     _log_rows,
     _read_json,
+    _soft_labels,
     _write_table,
     load_dataset,
     load_transition_matrix,
@@ -114,8 +115,10 @@ def _resolve_transitions(
     """Load the named confusion matrix, or estimate one from the dataset.
 
     The estimate reads the seed's transition-estimation stream; ``sizes``
-    go to :func:`~annobias.correction.estimate_transition_matrix`.
+    go to :func:`~annobias.correction.estimate_transition_matrix`.  A seed
+    out of range fails even when the matrix file leaves it unused.
     """
+    _check_seed(seed)
     if transitions is not None:
         stored = load_transition_matrix(transitions)
         matrix, names = stored.matrix, dataset.meta.class_names
@@ -306,14 +309,14 @@ def run_calibration(
 ) -> dict:
     """Estimate the acceptance offset from a logged annotation campaign.
 
-    ``method`` is ``"banded"`` (needs ground truth from the dataset) or
+    ``method`` is ``"banded"`` (needs the dataset's soft labels, and reads
+    ``annotations.csv`` only when there is no ``gt.csv``) or
     ``"two-proposal"`` (needs each image annotated under two proposals, and
     of the dataset only its ``meta.json``).  Returns a report dict with the
     estimate and the record counts that went into it.
     """
     if method == "banded":
-        dataset = load_dataset(cfg.dataset)
-        meta = dataset.meta
+        meta, index, probs = _soft_labels(cfg.dataset)
     else:
         meta = _dataset_meta(Path(cfg.dataset))
     ids, proposals, annotated = _log_rows(log_path, meta)
@@ -322,8 +325,8 @@ def run_calibration(
     sim = _effective_sim_params(cfg, meta)
 
     if method == "banded":
-        rows = _join(ids, dataset._rows, log_path)
-        masses = dataset.probs[rows, proposals]
+        rows = _join(ids, index, log_path)
+        masses = probs[rows, proposals]
         occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
         occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
         args = band, n_target, rescale, aggregate, sim.upper_bound

@@ -15,7 +15,11 @@ annotations.  Confusion matrices live in single JSON files.  Every CSV
 table and JSON document of the package, reports and configs included,
 is read and written by the helpers here, in one canonical form (standard
 CSV quoting, sorted JSON keys, ``\\n`` line ends, shortest round-trip
-float representation), so saving what was loaded is byte-stable.
+float representation), so saving what was loaded is byte-stable, except
+for ``annotations.csv``: it is saved grouped by image in ``gt.csv`` order,
+each image's ``annotator_idx`` numbered from 0: with ``x`` first in
+``gt.csv``, rows ``y,7,a``, ``x,5,b``, ``y,3,b`` save as ``x,0,b``,
+``y,0,a``, ``y,1,b``.
 """
 
 from __future__ import annotations
@@ -236,6 +240,14 @@ def _write_table(path, header: Sequence, rows) -> None:
         f.writelines(lines)
 
 
+def _checked_id(image_id: str) -> str:
+    """``image_id``, or FormatError unless it reads back as written: not
+    empty and without the surrounding white space :func:`_table` strips."""
+    if not image_id or image_id != image_id.strip():
+        raise FormatError(f"image_id {image_id!r} is empty or padded with white space")
+    return image_id
+
+
 @dataclass(frozen=True)
 class ImageRecord:
     """One image: its soft label, optional raw annotations and proposal."""
@@ -261,7 +273,7 @@ class Dataset:
         index = {}
         k = meta.num_classes
         for img in images:
-            if img.image_id in index:
+            if _checked_id(img.image_id) in index:
                 raise FormatError(f"duplicate image_id {img.image_id!r}")
             index[img.image_id] = len(index)
             if img.gt.num_classes != k:
@@ -506,6 +518,21 @@ def load_dataset(path) -> Dataset:
     return dataset
 
 
+def _soft_labels(path):
+    """A dataset directory's ``meta``, ``index`` of image ids to rows and soft
+    labels ``probs[N, K]``, as :func:`load_dataset` gives them.  With a
+    ``gt.csv`` only ``meta.json`` and ``gt.csv`` are read; without one the
+    soft labels are averaged from ``annotations.csv``."""
+    root = Path(path)
+    gt_path = root / GT_NAME
+    if not gt_path.exists():
+        dataset = load_dataset(root)
+        return dataset.meta, dataset._rows, dataset.probs
+    meta = _dataset_meta(root)
+    index, probs, _ = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
+    return meta, index, probs
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     """Write a dataset directory in canonical form."""
     root = Path(path)
@@ -553,7 +580,9 @@ def _log_rows(path, meta: DatasetMeta):
 
 def save_acceptance_log(entries: Sequence[LogEntry], path, meta: DatasetMeta) -> None:
     name = meta.name_of
-    rows = ((e.image_id, name(e.proposal), name(e.annotated)) for e in entries)
+    rows = (
+        (_checked_id(e.image_id), name(e.proposal), name(e.annotated)) for e in entries
+    )
     _write_table(path, _LOG_HEADER, rows)
 
 

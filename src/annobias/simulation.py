@@ -123,14 +123,10 @@ def _other_class(num_classes: int, proposal, r):
     return j + (j >= proposal)
 
 
-def _rejected_class(probs: np.ndarray, proposal, fallback: str, r):
-    """Class of a rejected proposal, per uniform in ``r``.
+def _rejected_class(probs: np.ndarray, proposal: np.ndarray, fallback: str, r):
+    """Class of a rejected proposal, per row of ``probs[R, K]``.
 
-    ``probs`` is one distribution ``[K]`` with an int ``proposal`` and
-    ``r`` a float or an array of them, or rows ``[R, K]`` with
-    ``proposal[R]`` and one uniform per row in ``r[R]``; the result has
-    the shape of ``r``.
-
+    Row ``i`` proposed ``proposal[i]`` and reads the uniform ``r[i]``.
     Walks the cumulative ground-truth mass of the non-proposal classes and
     returns the first class whose cumulative mass reaches ``r`` times the
     total non-proposal mass.  When that mass is zero (or the walk runs off
@@ -138,12 +134,7 @@ def _rejected_class(probs: np.ndarray, proposal, fallback: str, r):
     non-proposal class, ``"random"`` reuses ``r`` for a uniform pick among
     the non-proposal classes.
     """
-    r = np.asarray(r, dtype=np.float64)
-    k = probs.shape[-1]
-    if probs.ndim == 1:
-        rows = np.broadcast_to(probs, (r.size, k))
-        proposals = np.full(r.size, proposal)
-        return _rejected_class(rows, proposals, fallback, r.ravel()).reshape(r.shape)
+    k = probs.shape[1]
     at = (np.arange(proposal.size), proposal)
     remainder = 1.0 - probs[at]
     masked = probs.copy()

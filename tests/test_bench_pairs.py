@@ -55,3 +55,20 @@ def test_failed_or_incorrect_runs_are_reported():
     good, wrong = _result(1, 1), _result(1, 1, correct=False)
     failed = _result(1, 1, failed=2)
     assert bench_pairs.failures([good, wrong, good, failed]) == [wrong, failed]
+
+
+def test_imports_mode_reads_the_bench_snippet_and_summarizes_setup_s():
+    root = TOOL.parent.parent
+    assert "build_parser()" in bench_pairs._setup_snippet(root)
+    (line,) = bench_pairs.summarize(
+        [bench_pairs._import(f"print({v})", root) for v in (0.2, 0.1, 0.3)],
+        [bench_pairs._import(f"print({v})", root) for v in (0.1, 0.2, 0.1)],
+        END_TO_END[1:],
+    )
+    # base 0.1, 0.2, 0.3; change 0.1, 0.1, 0.2
+    assert line == (
+        "setup_s (s, lower is better, bound 25%): "
+        "base 0.2 [0.15, 0.25], change 0.1 [0.1, 0.15], "
+        "median -50.00% (within bound), change better in 2/3 pairs, "
+        "gain beyond the base's interquartile range: yes"
+    )

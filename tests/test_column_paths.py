@@ -179,6 +179,24 @@ def test_two_proposal_calibrate_needs_only_meta_json(paths):
     assert (paths / "out").read_bytes() == want
 
 
+def test_banded_calibrate_reads_no_annotations_beside_gt_csv(paths, capsys):
+    argv = _argv(_LOG_COMMANDS["calibrate-banded"], paths)
+    assert main(argv) == 0
+    want = (paths / "out").read_bytes()
+    (paths / "out").unlink()
+    (paths / "campaign" / "annotations.csv").write_text(
+        "image_id,annotator_idx,class\nimg_0,0,class_1\nghost,0,class_0\n",
+        encoding="utf-8",
+    )
+    assert main(argv) == 0
+    assert (paths / "out").read_bytes() == want
+    # correct reads the tallies, so the orphan annotation still fails it
+    argv = _argv(_COLUMN_COMMANDS["correct-transitions"], paths)
+    argv[argv.index(str(paths / "annotated"))] = str(paths / "campaign")
+    assert main(argv) == 2
+    assert "image_id 'ghost' not present in gt.csv" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["campaign", "annotated"])
 def test_save_dataset_writes_from_the_columns(paths, view_builds, name):
     loaded = load_dataset(paths / name)

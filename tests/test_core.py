@@ -176,7 +176,7 @@ class TestSampleClass:
         assert d.probs[1] == 0.4999999999
         u = 0.99999999995
         assert d.probs.cumsum()[-1] < u
-        assert core._draw_class(d.probs, u) == 1
+        assert core._draw_class(d.probs[None], np.array([u])).tolist() == [1]
         rows = np.array([d.probs, [0.2, 0.3, 0.5], d.probs])
         got = core._draw_class(rows, np.array([u, u, 0.1]))
         assert got.tolist() == [1, 2, 0]

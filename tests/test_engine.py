@@ -146,22 +146,26 @@ def _reference_classes(strategy, probs, proposal, p, n, rng):
     """The ``n`` classes of one image, each strategy's stage order written out.
 
     Draw by draw with scalar ``rng.random()`` reads; only the class laws
-    (rejection walk, uniform index, inverse CDF) are the package's own.
+    (rejection walk, uniform index, inverse CDF) are the package's own, the
+    row laws called on a one-row batch.
     """
     k = probs.size
 
     def accepts(c):
         return rng.random() <= p.delta + (p.upper_bound - p.delta) * probs[c]
 
+    def one_row(draw, *args):
+        return int(draw(probs[None], *args, np.array([rng.random()]))[0])
+
     def rejected():
-        return int(_rejected_class(probs, proposal, p.reject_fallback, rng.random()))
+        return one_row(_rejected_class, np.array([proposal]), p.reject_fallback)
 
     if strategy is Strategy.LIKELY:
         return [int(np.argmax(probs))] * n
     if strategy is Strategy.RANDOM:
         return [int(_uniform_index(k, rng.random())) for _ in range(n)]
     if strategy is Strategy.GT:
-        return [int(_draw_class(probs, rng.random())) for _ in range(n)]
+        return [one_row(_draw_class) for _ in range(n)]
     if strategy is Strategy.ACCEPT_GT:
         kept = [accepts(proposal) for _ in range(n)]  # all acceptances first
         return [proposal if keep else rejected() for keep in kept]

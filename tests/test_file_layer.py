@@ -17,6 +17,7 @@ from annobias.harness.config import ConfigError, ExperimentConfig
 from annobias.harness.experiments import run_from_manifest, run_label_correction
 from annobias.harness.formats import (
     Dataset,
+    FormatError,
     ImageRecord,
     LogEntry,
     TransitionMatrixFile,
@@ -206,6 +207,47 @@ def test_ids_with_carriage_returns_round_trip(tmp_path, image_id):
     assert main(["correct", *argv, "--out", str(out)]) == 0
     _, rows = _table(out)
     assert [row[0] for row in rows] == [image_id, "plain"]
+
+
+@pytest.mark.parametrize(
+    "ids", [(" x ",), ("",), ("x", " x")], ids=["padded", "empty", "beside-stripped"]
+)
+def test_in_memory_ids_that_would_not_read_back_are_refused(tmp_path, ids):
+    # _table strips ids and refuses empty ones, so these would load changed
+    # (" x " as "x"), fail ("" as an empty id), or clash (" x" with "x")
+    meta = DatasetMeta(("a", "b"))
+    gt = LabelDistribution([0.5, 0.5])
+    named = re.escape(repr(ids[-1]))
+    with pytest.raises(FormatError, match=named):
+        Dataset(meta, [ImageRecord(image_id, gt) for image_id in ids])
+    entries = [LogEntry(image_id, 0, 1) for image_id in ids]
+    with pytest.raises(FormatError, match=named):
+        save_acceptance_log(entries, tmp_path / "log.csv", meta)
+    assert not (tmp_path / "log.csv").exists()
+
+
+_SEEDED = {
+    "correct": ["correct"],
+    "correct-with-matrix": ["correct", "--transitions", "{matrix}"],
+    "estimate-transitions": ["estimate-transitions"],
+    "simulate": ["simulate", "--annotations", "2"],
+}
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", list(_SEEDED))
+def test_every_command_refuses_the_same_seeds(
+    quoted_inputs, tmp_path, capsys, command, seed
+):
+    ds_dir, _, matrix = quoted_inputs
+    out = tmp_path / "out"
+    argv = [arg.format(matrix=matrix) for arg in _SEEDED[command]]
+    argv += ["--dataset", str(ds_dir), "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 2
+    assert "error: seed must fit in 64 unsigned bits" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+        run_label_correction(ds_dir, seed=seed)
 
 
 def test_a_failing_row_leaves_no_file_and_keeps_an_old_one(tmp_path):

@@ -368,7 +368,8 @@ def test_simulated_classes_always_valid(weights, idx, delta, seed):
     ),
 )
 def test_rejection_law_scalar_matches_array(weights, idx, fallback, shape, rs):
-    """One rejection law: a uniform gives the same class alone or in an array.
+    """One rejection law: a row gets the same class alone, as a one-row
+    batch, and among other rows.
 
     ``certain`` puts all mass on the proposal (the fallback case);
     ``short`` leaves the masses summing a hair under 1, as stored
@@ -385,12 +386,18 @@ def test_rejection_law_scalar_matches_array(weights, idx, fallback, shape, rs):
         if shape == "short":
             probs = probs * (1.0 - 1e-10)
     r = np.asarray(rs)
-    batch = _rejected_class(probs, proposal, fallback, r)
+    rows = np.tile(probs, (r.size, 1))
+    batch = _rejected_class(rows, np.full(r.size, proposal), fallback, r)
     assert batch.shape == r.shape
+    # every other row a uniform distribution proposing the next class
+    mixed = np.tile([probs, np.full(k, 1.0 / k)], (r.size, 1))
+    proposals = np.tile([proposal, (proposal + 1) % k], r.size)
+    np.testing.assert_array_equal(
+        _rejected_class(mixed, proposals, fallback, r.repeat(2))[::2], batch
+    )
     for ri, cls in zip(rs, batch):
-        single = _rejected_class(probs, proposal, fallback, ri)
-        assert np.ndim(single) == 0
-        assert int(single) == int(cls)
+        single = _rejected_class(rows[:1], np.array([proposal]), fallback, np.array([ri]))
+        assert single.tolist() == [cls]
         assert 0 <= int(cls) < k and int(cls) != proposal
 
 
@@ -400,6 +407,8 @@ def test_rejection_law_falls_back_when_walk_overflows(fallback, expected):
     # near 1 walks past the last class and the fallback decides.
     probs = np.array([0.2, 0.5, 0.3]) * (1.0 - 1e-10)
     r = float(np.nextafter(1.0, 0.0))
-    assert int(_rejected_class(probs, 1, fallback, r)) == expected
-    batch = _rejected_class(probs, 1, fallback, np.array([0.1, r]))
+    single = _rejected_class(probs[None], np.array([1]), fallback, np.array([r]))
+    assert single.tolist() == [expected]
+    rows = np.array([probs, probs])
+    batch = _rejected_class(rows, np.array([1, 1]), fallback, np.array([0.1, r]))
     np.testing.assert_array_equal(batch, [0, expected])

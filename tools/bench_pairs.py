@@ -14,13 +14,22 @@ pair to pair.  The tool prints every
 pair's end-to-end metrics, then for each metric of ``BENCHMARK.json`` both
 sides' median and quartiles, the relative change of the median against the
 metric's bound, and in how many pairs the change did better.  It exits 1
-when any run reads ``correct`` false or ``failed`` above 0.  Tier-1 never
-collects this directory.
+when any run reads ``correct`` false or ``failed`` above 0.
+
+With ``--imports N`` (and no ``--workload``) the tool times only the
+interpreter start that ``setup_s`` measures: it runs ``bench/run.py``'s
+``SETUP_SNIPPET`` in N fresh interpreters per side, the sides alternating
+as above, and summarizes ``setup_s`` the same way::
+
+    python3 tools/bench_pairs.py --base HEAD~1 --imports 60
+
+Tier-1 never collects this directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -28,6 +37,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,6 +62,36 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if done.returncode != 0 or not lines:
         sys.exit(f"bench/run.py failed in {checkout}:\n{done.stderr}")
     return json.loads(lines[-1])
+
+
+def _setup_snippet(checkout: Path) -> str:
+    """``SETUP_SNIPPET`` of ``bench/run.py`` in ``checkout``, read without
+    importing that module."""
+    tree = ast.parse((checkout / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = getattr(node, "targets", [])
+        if [getattr(t, "id", None) for t in targets] == ["SETUP_SNIPPET"]:
+            return ast.literal_eval(node.value)
+    sys.exit(f"no SETUP_SNIPPET in {checkout / 'bench' / 'run.py'}")
+
+
+def _import(snippet: str, checkout: Path) -> dict:
+    """A result line holding the ``setup_s`` that one fresh interpreter
+    reports for ``snippet`` with ``checkout``'s ``src`` first on its path,
+    as ``bench/run.py`` starts it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(checkout / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    argv = [sys.executable, "-c", snippet]
+    done = subprocess.run(
+        argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=60
+    )
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        sys.exit(f"the set-up snippet failed in {checkout}:\n{done.stderr}")
+    setup_s = {"value": float(lines[-1]), "unit": "s"}
+    return {"correct": True, "failed": 0, "metrics": {"setup_s": setup_s}}
 
 
 def _quartiles(values: list) -> tuple:
@@ -96,13 +136,24 @@ def failures(runs: list) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git ref to compare against")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", help="a workload of BENCHMARK.json")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=36)
     parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument(
+        "--imports",
+        type=int,
+        metavar="N",
+        help="time only the set-up snippet, in N fresh interpreters per side",
+    )
     args = parser.parse_args(argv)
+    if (args.workload is None) == (args.imports is None):
+        parser.error("give exactly one of --workload and --imports")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [m["name"] for m in spec["end_to_end"]]
+    end_to_end = spec["end_to_end"]
+    if args.imports is not None:
+        end_to_end = [m for m in end_to_end if m["name"] == "setup_s"]
+    names = [m["name"] for m in end_to_end]
 
     base, change = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,10 +165,23 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-xf", str(tar), "-C", str(export)], check=True)
         here = Path(tmp) / "change"
         _copy_checkout(here)
-        for i in range(args.pairs):
+        if args.imports is None:
+            measure = partial(
+                _run, workload=args.workload, seed=args.seed, seconds=args.seconds
+            )
+            count = args.pairs
+            title = (
+                f"{args.workload}, base {args.base}, {args.pairs} pairs of "
+                f"{args.seconds} s, seed {args.seed}"
+            )
+        else:
+            measure = partial(_import, _setup_snippet(export))
+            count = args.imports
+            title = f"set-up imports, base {args.base}, {args.imports} pairs"
+        for i in range(count):
             sides = [(export, base), (here, change)]
             for checkout, runs in sides if i % 2 == 0 else sides[::-1]:
-                runs.append(_run(checkout, args.workload, args.seed, args.seconds))
+                runs.append(measure(checkout))
             row = {
                 side: {name: r[-1]["metrics"][name]["value"] for name in names}
                 for side, r in (("base", base), ("change", change))
@@ -125,11 +189,8 @@ def main(argv=None) -> int:
             first = "base" if i % 2 == 0 else "change"
             print(f"pair {i + 1} ({first} first): {json.dumps(row)}", flush=True)
 
-    print(
-        f"{args.workload}, base {args.base}, {args.pairs} pairs of "
-        f"{args.seconds} s, seed {args.seed}"
-    )
-    for line in summarize(base, change, spec["end_to_end"]):
+    print(title)
+    for line in summarize(base, change, end_to_end):
         print("  " + line)
     bad = failures(base + change)
     for r in bad:
