@@ -39,8 +39,8 @@ from .formats import (
     _dump_json,
     _float_texts,
     _gt_header,
+    _soft_labels,
     _write_table,
-    load_dataset,
     save_transition_matrix,
 )
 
@@ -268,13 +268,13 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_estimate_transitions(args) -> int:
-    dataset = load_dataset(args.dataset)
+    meta, _, probs, _ = _soft_labels(args.dataset)
     matrix = _resolve_transitions(
-        None, args.seed, dataset, n_images=args.n_images, n_annos=args.n_annos
+        None, args.seed, meta, probs, n_images=args.n_images, n_annos=args.n_annos
     )
     tm_file = TransitionMatrixFile.from_matrix(
         matrix,
-        class_names=dataset.meta.class_names,
+        class_names=meta.class_names,
         metadata={
             "estimated_from": str(args.dataset),
             "n_images": args.n_images,

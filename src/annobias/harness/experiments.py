@@ -110,9 +110,10 @@ def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
 
 
 def _resolve_transitions(
-    transitions: Optional[str], seed: Optional[int], dataset, **sizes
+    transitions: Optional[str], seed: Optional[int], meta, probs, **sizes
 ):
-    """Load the named confusion matrix, or estimate one from the dataset.
+    """Load the named confusion matrix, or estimate one from a dataset's
+    ``meta`` and soft labels ``probs[N, K]``.
 
     The estimate reads the seed's transition-estimation stream; ``sizes``
     go to :func:`~annobias.correction.estimate_transition_matrix`.  A seed
@@ -121,11 +122,11 @@ def _resolve_transitions(
     _check_seed(seed)
     if transitions is not None:
         stored = load_transition_matrix(transitions)
-        matrix, names = stored.matrix, dataset.meta.class_names
-        if matrix.num_classes != dataset.num_classes:
+        matrix, names = stored.matrix, meta.class_names
+        if matrix.num_classes != meta.num_classes:
             raise FormatError(
                 f"{transitions}: matrix has {matrix.num_classes} classes, "
-                f"dataset has {dataset.num_classes}"
+                f"dataset has {meta.num_classes}"
             )
         if stored.class_names not in (None, names):
             raise FormatError(
@@ -139,11 +140,11 @@ def _resolve_transitions(
             "or a transitions file"
         )
     rng = substream(int(seed), "transition-estimation")
-    return _estimate_transitions(dataset.probs, rng=rng, **sizes)
+    return _estimate_transitions(probs, rng=rng, **sizes)
 
 
-def _proposal_source(dataset) -> str:
-    given = dataset.proposals >= 0
+def _proposal_source(proposals) -> str:
+    given = proposals >= 0
     if given.all():
         return "column"
     if not given.any():
@@ -170,10 +171,11 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     configured strategy, repaired with the configured stages, and both the
     raw normalized tally and the repaired distribution are scored against
     the soft ground truth.  With an empty metric list the run is a no-op
-    that produces only the manifest.
+    that produces only the manifest.  Of the dataset only ``meta.json`` and
+    the soft labels are read (:func:`~annobias.harness.formats._soft_labels`).
     """
-    dataset = load_dataset(cfg.dataset)
-    meta = dataset.meta
+    meta, index, probs, proposals = _soft_labels(cfg.dataset)
+    ids = tuple(index)
     sim = _effective_sim_params(cfg, meta)
     mu = meta.mu if cfg.mu is None else cfg.mu
     corr = CorrectionParams(
@@ -184,9 +186,9 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     manifest = _manifest(
         cfg,
         "simulate",
-        dataset_images=len(dataset.ids),
-        num_classes=dataset.num_classes,
-        proposal_source=_proposal_source(dataset),
+        dataset_images=len(ids),
+        num_classes=meta.num_classes,
+        proposal_source=_proposal_source(proposals),
         effective_sim_delta=sim.delta,
         effective_sim_upper_bound=sim.upper_bound,
         effective_mu=mu,
@@ -195,8 +197,8 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     if not cfg.metrics:
         return Report(manifest)
 
-    matrix = _resolve_transitions(cfg.transitions, cfg.seed, dataset)
-    values = _score_cells(cfg, strategy, sim, corr, matrix, dataset)
+    matrix = _resolve_transitions(cfg.transitions, cfg.seed, meta, probs)
+    values = _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, proposals)
     results = [
         {
             "image_id": image_id,
@@ -205,7 +207,7 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
             "metric": metric,
             "value": vals[i],
         }
-        for i, image_id in enumerate(dataset.ids)
+        for i, image_id in enumerate(ids)
         for (n, variant, metric), vals in values.items()
     ]
 
@@ -234,8 +236,9 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
     return Report(manifest, results, aggregates, budget_rows)
 
 
-def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
-    """Scores of every (image, count) cell: ``(n, variant, metric) -> values``.
+def _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, given) -> dict:
+    """Scores of every (image, count) cell: ``(n, variant, metric) -> values``,
+    for the images ``ids`` with soft labels ``probs`` and proposals ``given``.
 
     Keys are in the order a row-by-row loop meets them; each list is in
     image order.  ``block`` draws each cell of a block of ``_BLOCK_ROWS``
@@ -243,7 +246,6 @@ def _score_cells(cfg, strategy, sim, corr, matrix, dataset) -> dict:
     validates, repairs and scores each count's tallies as arrays.  A failing
     cell raises ``RuntimeError`` naming the first failing image.
     """
-    ids, probs, given = dataset.ids, dataset.probs, dataset.proposals
     proposals = np.where(given < 0, probs.argmax(axis=1), given)
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
     stages = dict(use_bc=cfg.use_bc, use_cb=cfg.use_cb, cb_input=cfg.cb_input)
@@ -282,16 +284,17 @@ def run_strategy_comparison(
     """Rank all seven strategies by closeness to the logged behavior.
 
     Returns :class:`~annobias.metrics.StrategyComparison` rows sorted by
-    mean normalized distance, best first.
+    mean normalized distance, best first.  Of the dataset only ``meta.json``
+    and the soft labels are read.
     """
-    dataset = load_dataset(cfg.dataset)
-    ids, proposals, annotated = _log_rows(log_path, dataset.meta)
+    meta, index, probs, _ = _soft_labels(cfg.dataset)
+    ids, proposals, annotated = _log_rows(log_path, meta)
     if not ids:
         raise FormatError(f"{log_path}: log contains no entries")
-    # load_dataset checked the soft labels, _log_rows each class's range
-    rows = _join(ids, dataset._rows, log_path)
-    group = (np.arange(len(ids)), dataset.probs[rows], proposals, annotated)
-    sim = _effective_sim_params(cfg, dataset.meta)
+    # _soft_labels checked the soft labels, _log_rows each class's range
+    rows = _join(ids, index, log_path)
+    group = (np.arange(len(ids)), probs[rows], proposals, annotated)
+    sim = _effective_sim_params(cfg, meta)
     ranked = _compare(ids, [group], tuple(Strategy), sim, repetitions, cfg.seed)
     return sorted(ranked, key=lambda r: (r.mean, r.strategy.name))
 
@@ -316,7 +319,7 @@ def run_calibration(
     estimate and the record counts that went into it.
     """
     if method == "banded":
-        meta, index, probs = _soft_labels(cfg.dataset)
+        meta, index, probs, _ = _soft_labels(cfg.dataset)
     else:
         meta = _dataset_meta(Path(cfg.dataset))
     ids, proposals, annotated = _log_rows(log_path, meta)
@@ -417,7 +420,7 @@ def _repaired(dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu,
             f"image {ids[missing_prop[0]]!r} has no proposal; correction requires "
             f"an explicit proposal column"
         )
-    matrix = _resolve_transitions(transitions, seed, dataset)
+    matrix = _resolve_transitions(transitions, seed, dataset.meta, dataset.probs)
     corr = CorrectionParams(
         delta=corr_delta,
         upper_bound=corr_upper_bound,

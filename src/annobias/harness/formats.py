@@ -519,18 +519,18 @@ def load_dataset(path) -> Dataset:
 
 
 def _soft_labels(path):
-    """A dataset directory's ``meta``, ``index`` of image ids to rows and soft
-    labels ``probs[N, K]``, as :func:`load_dataset` gives them.  With a
-    ``gt.csv`` only ``meta.json`` and ``gt.csv`` are read; without one the
-    soft labels are averaged from ``annotations.csv``."""
+    """A dataset directory's ``meta``, ``index`` of image ids to rows, soft
+    labels ``probs[N, K]`` and ``proposals[N]`` (-1 for none) as
+    :func:`load_dataset` gives them: from ``meta.json`` and ``gt.csv`` alone
+    when there is a ``gt.csv``, else averaged from ``annotations.csv``."""
     root = Path(path)
     gt_path = root / GT_NAME
     if not gt_path.exists():
         dataset = load_dataset(root)
-        return dataset.meta, dataset._rows, dataset.probs
+        return dataset.meta, dataset._rows, dataset.probs, dataset.proposals
     meta = _dataset_meta(root)
-    index, probs, _ = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
-    return meta, index, probs
+    index, probs, proposals = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
+    return meta, index, probs, np.asarray(proposals, dtype=np.int64)
 
 
 def save_dataset(dataset: Dataset, path) -> None:

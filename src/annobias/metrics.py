@@ -251,8 +251,8 @@ def compare_strategies(
     Each simulated draw reads the stream keyed (seed, "strategy-comparison",
     image id, per-image record ordinal, repetition), so results are
     independent of record order across images.  All streams are derived
-    in one batch (:func:`~annobias.rng.uniforms`), bit-identical to one
-    :func:`~annobias.rng.substream` per draw.
+    in one batch from those key columns (:func:`~annobias.rng.uniforms`),
+    bit-identical to one :func:`~annobias.rng.substream` per draw.
     """
     return _compare(*_columns(records), (strategy,), p, repetitions, seed)[0]
 
@@ -269,14 +269,12 @@ def _compare(ids, groups, strategies, p, repetitions, seed) -> list:
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
 
-    ordinals = defaultdict(count)  # image id -> its records so far
-    keyed = [(image_id, next(ordinals[image_id])) for image_id in ids]
-    streams = (
-        ("strategy-comparison", image_id, ordinal, rep)
-        for rep in range(repetitions)
-        for image_id, ordinal in keyed
-    )
-    draws = uniforms(seed, streams, _MAX_UNIFORMS_PER_DRAW)
+    counters = defaultdict(count)  # image id -> its records so far
+    ordinals = np.fromiter((next(counters[i]) for i in ids), np.int64, len(ids))
+    # row rep * len(ids) + i is record i's stream in repetition rep
+    reps = np.arange(repetitions).repeat(len(ids))
+    columns = ("strategy-comparison", ids * repetitions, np.tile(ordinals, repetitions), reps)
+    draws = uniforms(seed, columns, _MAX_UNIFORMS_PER_DRAW)
 
     # every repetition re-annotates every record once; records with the
     # same class count run through the engine together

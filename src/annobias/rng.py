@@ -6,18 +6,16 @@ are hashed with SHA-256 rather than the process-salted builtin ``hash`` so
 the same key yields the same stream in every interpreter run.
 
 :func:`substream` builds one numpy generator per key.  :func:`uniforms`
-derives the first uniforms of many such streams at once: it codes every
-key component, hashing each distinct one once, then reproduces numpy's
-``SeedSequence`` entropy mix and ``PCG64`` (XSL-RR) output over arrays of
-rows, so row ``i`` equals ``substream(seed, *keys[i]).random(m)`` bit for bit.
+derives the first uniforms of many such streams at once from key columns,
+coding each column once; it reproduces numpy's ``SeedSequence`` entropy
+mix and ``PCG64`` (XSL-RR) output over arrays, bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from array import array
-from itertools import chain, islice
+from itertools import chain, count
 
 import numpy as np
 
@@ -27,8 +25,8 @@ _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 # key types memoized by uniforms(): no value of one equals a value of another
 _CACHED_KEY_TYPES = frozenset((str, bytes, int))
-# rows derived per batch by uniforms(); bounds its temporary arrays
-_CHUNK_ROWS = 2048
+# a uniforms() column of these is one key shared by every row
+_SHARED_KEY_TYPES = (str, bytes, int, np.integer)
 # a SHA-256 digest as four little-endian 64-bit words
 _FOUR_WORDS = struct.Struct("<4Q")
 
@@ -79,97 +77,92 @@ def substream(seed: int, *keys) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def uniforms(seed: int, keys, m: int) -> np.ndarray:
-    """First ``m`` uniforms of the stream of each key tuple, as ``float64[N, m]``.
+def uniforms(seed: int, columns, m: int) -> np.ndarray:
+    """First ``m`` uniforms of each row's stream, as ``float64[N, m]``.
 
-    Row ``i`` is bit-identical to ``substream(seed, *keys[i]).random(m)``.
-    ``keys`` may be any iterable of key tuples.  All of it is coded first
-    (:func:`_code`); then each chunk is derived one entropy length at a time.
+    A column is one key shared by every row (a str, bytes, int or numpy
+    integer) or a sized sequence of N keys (a list, or an integer array).
+    Row ``i`` is bit-identical to ``substream(seed, *row_i).random(m)``; with
+    no sequence column there is one row.  The pool is mixed once per distinct
+    value of the first sequence column, after the seed and the shared keys
+    before it, then gathered to the rows and continued with the rest.
     """
-    chunks, entropy, bounds = _code(int(seed) & _MASK64, keys)
-    out = np.empty((sum(len(widths) for widths, _ in chunks), m), dtype=np.float64)
-    done = 0
-    for widths, codes in chunks:
-        # each row's codes: the seed's (code 0), then its components'
-        heads = np.cumsum(widths) - widths
-        codes = np.insert(codes, heads, 0)
-        sizes = bounds[codes + 1] - bounds[codes]
-        lengths = np.add.reduceat(sizes, heads + np.arange(len(widths)))
-        # every row's entropy, one row after another
-        words = entropy[_ranges(bounds[codes], sizes)]
-        firsts = np.cumsum(lengths) - lengths
-        for length in np.flatnonzero(np.bincount(lengths)):
-            rows = np.flatnonzero(lengths == length)
-            if len(rows) == len(widths):
-                block = words.reshape(len(rows), length)
-            else:
-                block = words[firsts[rows, None] + np.arange(length)]
-            out[done + rows] = _pcg64_uniforms(_seed_state(block), m)
-        done += len(widths)
+    memo, head, coded = {}, [int(seed) & _MASK64], []
+    for column in columns:
+        if not isinstance(column, _SHARED_KEY_TYPES):
+            coded.append(_coded(column, memo))
+        elif coded:
+            words, _ = _entropy_words(key_words(column))
+            coded.append((words[None], np.zeros_like(coded[0][1])))
+        else:
+            head.extend(key_words(column))
+    if len({len(codes) for _, codes in coded}) > 1:
+        raise ValueError("key columns differ in length")
+    (first, codes), *others = coded or [(np.empty((1, 0), np.int64), np.zeros(1, np.intp))]
+    n, (lead, _) = len(codes), _entropy_words(head)
+    prefix = np.hstack([np.tile(lead, (len(first), 1)), first])
+    rest = np.hstack([np.empty((n, 0), np.int64)] + [t[c] for t, c in others])
+    if ((prefix >= 0).sum(axis=1) < _POOL_SIZE).any():
+        # the leading words do not fill the pool: mix each row in full
+        prefix, codes, rest = np.hstack([prefix[codes], rest]), np.arange(n), rest[:, :0]
+    lengths = (prefix >= 0).sum(axis=1)
+    pools = np.empty((_POOL_SIZE, len(prefix)), dtype=np.uint32)
+    for length in np.flatnonzero(np.bincount(lengths)):
+        values = np.flatnonzero(lengths == length)
+        words = _entropy_rows(prefix, values)
+        pools[:, values] = _mix_in(_fill(words[:_POOL_SIZE]), words[_POOL_SIZE:], _POOL_SIZE)
+    # rows continue from their prefix's length, grouped by both lengths
+    starts = lengths[codes]
+    groups = starts * (rest.shape[1] + 1) + (rest >= 0).sum(axis=1)
+    out = np.empty((n, m), dtype=np.float64)
+    for group in np.flatnonzero(np.bincount(groups)):
+        rows = np.flatnonzero(groups == group)
+        pool = _mix_in(pools[:, codes[rows]], _entropy_rows(rest, rows), starts[rows[0]])
+        out[rows] = _pcg64_uniforms(_generate_state(pool), m)
     return out
 
 
-def _ranges(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Each ``range(s, s + n)`` of ``starts`` and ``sizes``, concatenated, as int32."""
-    ends = np.cumsum(sizes)
-    index = np.arange(ends[-1], dtype=np.int32)
-    index += np.repeat((starts - ends + sizes).astype(np.int32), sizes)
-    return index
+def _coded(column, memo: dict) -> tuple:
+    """A sequence column as the :func:`_table` of its distinct keys and each
+    row's index into it.  Only str, bytes and int keys merge, hashed once per
+    call (``memo``); any other reaches :func:`key_words` on every use."""
+    if isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype.kind in "iu":
+        # the cast wraps as ``int(key) & _MASK64`` does
+        keys, codes = np.unique(column.astype(np.uint64), return_inverse=True)
+        return _table(*_entropy_words(keys)), codes.ravel()
+    keys = list(column)
+    if set(map(type, keys)) <= _CACHED_KEY_TYPES:
+        index = dict(zip(dict.fromkeys(keys), count()))
+        codes = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
+        keys = list(index)
+    else:
+        codes = np.arange(len(keys))
+    cached = dict.fromkeys(k for k in keys if type(k) in _CACHED_KEY_TYPES)
+    memo.update((k, key_words(k)) for k in cached if k not in memo)
+    words = [memo[k] if type(k) in _CACHED_KEY_TYPES else key_words(k) for k in keys]
+    halves, per_word = _entropy_words(list(chain.from_iterable(words)))
+    ends = np.concatenate(([0], np.cumsum(per_word)))[np.cumsum([0, *map(len, words)])]
+    return _table(halves, np.diff(ends)), codes
 
 
-def _code(seed: int, keys):
-    """``keys`` coded chunk by chunk as ``(widths, codes)``: each row's width
-    and each component's code, in row order; and the entropy of code ``c``
-    (code 0 is the seed) as ``entropy[bounds[c]:bounds[c + 1]]``."""
-    table = _KeyTable(seed)
-    chunks, rows = [], iter(keys)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        widths = np.fromiter(map(len, chunk), np.intp, len(chunk))
-        chunks.append((widths, table.codes(list(chain.from_iterable(chunk)))))
-    # a code's entropy ends where its last word's does (where it starts for ())
-    entropy, sizes = _entropy_words(table.words)
-    bounds = np.cumsum(np.concatenate(([0], sizes)), dtype=np.int32)
-    return chunks, entropy, bounds[table.ends]
+def _table(halves: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Keys' entropy as the rows of ``int64[D, W]``, -1 past each key's end:
+    key ``j`` has the next ``sizes[j]`` of the uint32 ``halves``."""
+    table = np.full((len(sizes), sizes.max(initial=0)), -1, dtype=np.int64)
+    table[np.arange(table.shape[1]) < sizes[:, None]] = halves
+    return table
 
 
-class _KeyTable(dict):
-    """The components of one :func:`uniforms` call's keys, coded: a dict from
-    each distinct str, bytes or int component to its code; code ``c`` owns
-    the words ``words[ends[c]:ends[c + 1]]``.  Any other component gets a new
-    code each time, so ``1.0`` after ``1`` still meets :func:`key_words` and raises."""
-
-    def __init__(self, head: int):
-        super().__init__()
-        self.words = array("Q", (head,))
-        self.ends = [0, 1]
-
-    def __missing__(self, key) -> int:
-        code = self[key] = self.add(key)
-        return code
-
-    def add(self, key) -> int:
-        """A new code for ``key``."""
-        self.words.extend(key_words(key))
-        self.ends.append(len(self.words))
-        return len(self.ends) - 2
-
-    def codes(self, keys: list) -> np.ndarray:
-        """The code of each of ``keys``."""
-        cached = set(map(type, keys)) <= _CACHED_KEY_TYPES
-        lookup = self.__getitem__ if cached else self._lookup
-        return np.fromiter(map(lookup, keys), np.int32, len(keys))
-
-    def _lookup(self, key) -> int:
-        return self[key] if type(key) in _CACHED_KEY_TYPES else self.add(key)
+def _entropy_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The entropy of ``table``'s ``rows``, all of one length L, as uint32[L, n]."""
+    block = table[rows]
+    return block[block >= 0].reshape(len(rows), -1).T.astype(np.uint32)
 
 
 def _entropy_words(words):
-    """numpy's uint32 entropy words for 64-bit ``words``, and how many per word.
-
-    A word below 2**32 (0 included) is one uint32, a larger one its low
-    then high half, as ``SeedSequence`` splits a list of ints; passing the
-    split array gives the same state without the per-int conversion.
-    """
+    """numpy's uint32 entropy words for 64-bit ``words``, and how many per word:
+    a word below 2**32 (0 included) is one uint32, a larger one its low then
+    high half, as ``SeedSequence`` splits a list of ints."""
     # a little-endian uint64 viewed as two uint32 is (low, high)
     halves = np.array(words, dtype="<u8").view("<u4").reshape(-1, 2)
     keep = halves != 0
@@ -177,30 +170,36 @@ def _entropy_words(words):
     return halves[keep], keep.sum(axis=1)
 
 
-def _seed_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(entropy).generate_state(4, uint64)`` per row, as uint64[4, n].
-
-    ``entropy`` is uint32[n, L].  The pool is one uint32[4, n] array, so
-    numpy's updates of several pool words from one word are one operation.
-    """
-    n, length = entropy.shape
+def _fill(words: np.ndarray) -> np.ndarray:
+    """``SeedSequence``'s pool, uint32[4, n], after the first entropy ``words``
+    (uint32[<=4, n], zero-padded) and the cross-mix, one array operation each."""
     size = _POOL_SIZE
-    # one row per entropy word, zero-padded to the pool size
-    words = np.zeros((max(length, size), n), dtype=np.uint32)
-    words[:length] = entropy.T
-    consts = _hash_consts(_INIT_A, _MULT_A, size * len(words))
-    pool = _hashmix(words[:size], consts[: size + 1])
-    at = size
-    for src in range(size):
+    pool = np.zeros((size, words.shape[1]), dtype=np.uint32)
+    pool[: len(words)] = words
+    consts = _hash_consts(_INIT_A, _MULT_A, size * size)
+    pool = _hashmix(pool, consts[: size + 1])
+    for src, at in enumerate(range(size, size * size, size - 1)):
         other = np.arange(size) != src
         pool[other] = _mix(pool[other], _hashmix(pool[src], consts[at : at + size]))
-        at += size - 1
-    for word in words[size:]:
-        pool = _mix(pool, _hashmix(word, consts[at : at + size + 1]))
-        at += size
+    return pool
+
+
+def _mix_in(pool: np.ndarray, words: np.ndarray, start: int) -> np.ndarray:
+    """``pool`` continued with entropy words ``start`` (>= 4) onwards, uint32[L, n]:
+    word ``w`` meets the hash constants after the ``4 * w`` hashmix calls."""
+    at = _POOL_SIZE * int(start)
+    consts = _hash_consts(_INIT_A, _MULT_A, at + _POOL_SIZE * len(words))
+    for word in words:
+        pool = _mix(pool, _hashmix(word, consts[at : at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    return pool
+
+
+def _generate_state(pool: np.ndarray) -> np.ndarray:
+    """``generate_state(4, uint64)`` of mixed pools uint32[4, n], as uint64[4, n]."""
     # eight uint32 words cycling over the pool; pairs are (low, high) halves
-    state = _hashmix(np.tile(pool, (2, 1)), _hash_consts(_INIT_B, _MULT_B, 2 * size))
-    state = state.astype(np.uint64)
+    consts = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.tile(pool, (2, 1)), consts).astype(np.uint64)
     return state[0::2] | (state[1::2] << _SHIFT32)
 
 

@@ -179,17 +179,37 @@ def test_two_proposal_calibrate_needs_only_meta_json(paths):
     assert (paths / "out").read_bytes() == want
 
 
+def _output(out):
+    """The bytes of a command's output file, or of each table in its output
+    directory (whose ``manifest.json`` holds a timestamp), then removed."""
+    if out.is_file():
+        data = out.read_bytes()
+        out.unlink()
+        return data
+    data = {f.name: f.read_bytes() for f in out.iterdir() if f.name != "manifest.json"}
+    shutil.rmtree(out)
+    return data
+
+
 def test_banded_calibrate_reads_no_annotations_beside_gt_csv(paths, capsys):
-    argv = _argv(_LOG_COMMANDS["calibrate-banded"], paths)
-    assert main(argv) == 0
-    want = (paths / "out").read_bytes()
-    (paths / "out").unlink()
+    # beside a gt.csv these commands read only it and meta.json
+    commands = ["calibrate-banded", "compare-strategies", "simulate", "estimate-transitions"]
+    annotated, campaign = str(paths / "annotated"), str(paths / "campaign")
+    runs = [
+        [arg.replace(annotated, campaign) for arg in _argv(_COLUMN_COMMANDS[c], paths)]
+        for c in commands
+    ]
+    want = []
+    for argv in runs:
+        assert main(argv) == 0
+        want.append(_output(paths / "out"))
     (paths / "campaign" / "annotations.csv").write_text(
         "image_id,annotator_idx,class\nimg_0,0,class_1\nghost,0,class_0\n",
         encoding="utf-8",
     )
-    assert main(argv) == 0
-    assert (paths / "out").read_bytes() == want
+    for argv, output in zip(runs, want):
+        assert main(argv) == 0
+        assert _output(paths / "out") == output
     # correct reads the tallies, so the orphan annotation still fails it
     argv = _argv(_COLUMN_COMMANDS["correct-transitions"], paths)
     argv[argv.index(str(paths / "annotated"))] = str(paths / "campaign")

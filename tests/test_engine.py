@@ -129,7 +129,7 @@ def test_engine_rows_match_per_image_streams(rows, strategy, fallback, n, seed, 
     p = SimulationParams(delta=delta, upper_bound=0.6, reject_fallback=fallback)
     ids = [f"im{i}" for i in range(len(probs))]
     m = _uniforms_per_row(strategy, n)
-    draws = uniforms(seed, [("simulate", n, i) for i in ids], m)
+    draws = uniforms(seed, ("simulate", n, ids), m)
     got = _simulate_counts(strategy, probs, proposals, n, p, draws)
     for row, image_id in enumerate(ids):
         want = simulate_strategy_set(
@@ -366,7 +366,9 @@ def _per_cell(cfg):
     sim = experiments._effective_sim_params(cfg, dataset.meta)
     mu = dataset.meta.mu if cfg.mu is None else cfg.mu
     corr = CorrectionParams(cfg.corr_delta, cfg.corr_upper_bound, mu)
-    matrix = experiments._resolve_transitions(cfg.transitions, cfg.seed, dataset)
+    matrix = experiments._resolve_transitions(
+        cfg.transitions, cfg.seed, dataset.meta, dataset.probs
+    )
     strategy = Strategy.parse(cfg.strategy)
     metrics = {
         "kl": kl_divergence,

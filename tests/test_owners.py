@@ -42,7 +42,9 @@ def test_every_command_reads_one_estimation_stream(
     dataset = load_dataset(annotated_dir)
     tops = {int(np.argmax(img.gt.probs)) for img in dataset.images}
     assert tops == set(range(dataset.num_classes))
-    expected = experiments._resolve_transitions(None, seed, dataset).rows.tolist()
+    expected = experiments._resolve_transitions(
+        None, seed, dataset.meta, dataset.probs
+    ).rows.tolist()
 
     out = tmp_path / "tm.json"
     argv = ["estimate-transitions", "--dataset", str(annotated_dir)]
