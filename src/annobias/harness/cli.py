@@ -219,7 +219,6 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("a seed is required (--seed or config file)")
     if not data.get("dataset"):
         raise ConfigError("a dataset is required (--dataset or config file)")
-    data["out_dir"] = args.out
     cfg = ExperimentConfig.from_mapping(data, source="<command line>")
     report = run_simulation_experiment(cfg)
     written = emit_report(report, args.out)

@@ -62,9 +62,9 @@ _CONVERSIONS = {
     "speedups": (_number, "numbers"),
     "initial_supervision": (_number, "a number"),
     "pct_annotated": (_number, "a number"),
-    "out_dir": (_path, "a path"),
 }
 _LISTS = ("annotations", "metrics", "speedups")
+_RETIRED = ("aggregation", "out_dir")  # keys of older configs; nothing read them
 _CHOICES = {
     "cb_input": _CB_INPUTS,
     "reject_fallback": _REJECT_FALLBACKS,
@@ -131,7 +131,6 @@ class ExperimentConfig:
     speedups: tuple = (1.0, 2.5, 10.0)
     initial_supervision: float = 0.2
     pct_annotated: float = 1.0
-    out_dir: Optional[str] = None
 
     def __post_init__(self):
         if self.dataset is None or not str(self.dataset):
@@ -183,8 +182,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, data: dict, source: str = "<config>") -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        data = {k: v for k, v in data.items() if k not in _RETIRED}
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"{source}: unknown config keys {sorted(unknown)}")
         if "seed" not in data:

@@ -320,8 +320,10 @@ def run_calibration(
     """
     if method == "banded":
         meta, index, probs, _ = _soft_labels(cfg.dataset)
-    else:
+    elif method == "two-proposal":
         meta = _dataset_meta(Path(cfg.dataset))
+    else:
+        raise ConfigError(f"unknown calibration method {method!r}")
     ids, proposals, annotated = _log_rows(log_path, meta)
     if not ids:
         raise CalibrationError("insufficient calibration data: empty log")
@@ -353,26 +355,24 @@ def run_calibration(
             "n_in_band_images": len(images),
             "occupancy": occupancy_by_bin,
         }
-    if method == "two-proposal":
-        try:
-            entries = zip(ids, proposals.tolist(), annotated.tolist())
-            records = two_proposal_records_from_log(entries, meta.num_classes)
-        except FormatError as e:
-            raise FormatError(f"{log_path}: {e}") from e
-        raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)
-        estimate, survivors = _median_below(raw, threshold)
-        return {
-            "method": "two-proposal",
-            "estimate": estimate,
-            "threshold": threshold,
-            "upper_bound": sim.upper_bound,
-            "n_records": len(records),
-            "n_finite_candidates": int(np.isfinite(raw).sum()),
-            "n_survivors": len(survivors),
-            "candidate_min": float(min(survivors)),
-            "candidate_max": float(max(survivors)),
-        }
-    raise ConfigError(f"unknown calibration method {method!r}")
+    try:
+        entries = zip(ids, proposals.tolist(), annotated.tolist())
+        records = two_proposal_records_from_log(entries, meta.num_classes)
+    except FormatError as e:
+        raise FormatError(f"{log_path}: {e}") from e
+    raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)
+    estimate, survivors = _median_below(raw, threshold)
+    return {
+        "method": "two-proposal",
+        "estimate": estimate,
+        "threshold": threshold,
+        "upper_bound": sim.upper_bound,
+        "n_records": len(records),
+        "n_finite_candidates": int(np.isfinite(raw).sum()),
+        "n_survivors": len(survivors),
+        "candidate_min": float(min(survivors)),
+        "candidate_max": float(max(survivors)),
+    }
 
 
 def run_label_correction(
@@ -494,6 +494,5 @@ def run_from_manifest(manifest_path) -> Report:
             candidate = p.parent / value
             if os.path.exists(candidate):
                 data[key] = str(candidate)
-    data.pop("aggregation", None)  # a field of older configs that nothing read
     cfg = ExperimentConfig.from_mapping(data, source=str(p))
     return run_simulation_experiment(cfg)

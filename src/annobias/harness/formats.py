@@ -180,24 +180,6 @@ def _table(path: Path, header: list, optional: Optional[str] = None):
             raise FormatError(f"{path}:{reader.line_num}: {e}") from e
 
 
-# what a bulk reader raises where it cannot read a file as the row reader would
-_REFUSED = (ValueError, LookupError, csv.Error)
-
-
-def _bulk_or_rows(bulk, by_row, *args):
-    """``bulk(*args)``, or ``by_row(*args)`` where the bulk reader refuses.
-
-    A bulk reader raises one of ``_REFUSED`` at any file it might read
-    otherwise than its row reader, and then leaves its arguments as they
-    were.  The row reader raises FormatError naming the first bad line, or
-    reads the few valid files the bulk reader refuses (a float ``0_5``).
-    """
-    try:
-        return bulk(*args)
-    except _REFUSED:
-        return by_row(*args)
-
-
 def _float_texts(values):
     """Each row of ``float64[N, K]`` ``values`` as the ``repr`` of its cells,
     taken once per distinct bit pattern (``0.0`` and ``-0.0`` differ) in each
@@ -459,6 +441,24 @@ def _gt_rows(path: Path, meta: DatasetMeta):
     return index, np.array(probs).reshape(len(probs), k), proposals
 
 
+# what the bulk reader raises where it cannot read a file as the row reader would
+_REFUSED = (ValueError, LookupError, csv.Error)
+
+
+def _gt_table(path: Path, meta: DatasetMeta):
+    """:func:`_gt_columns`, or :func:`_gt_rows` where the bulk reader refuses.
+
+    The bulk reader raises one of ``_REFUSED`` at any file it might read
+    otherwise than the row reader, and then leaves ``meta`` as it was.  The
+    row reader raises FormatError naming the first bad line, or reads the
+    few valid files the bulk reader refuses (a float ``0_5``).
+    """
+    try:
+        return _gt_columns(path, meta)
+    except _REFUSED:
+        return _gt_rows(path, meta)
+
+
 def _annotation_rows(path: Path, meta: DatasetMeta, index: dict):
     """Parse annotations.csv into each annotation's image row and class
     index, in file order; ids missing from ``index`` are added to it."""
@@ -502,7 +502,7 @@ def load_dataset(path) -> Dataset:
     # soft labels come from gt.csv when it exists, even with no rows
     index, probs, proposals = {}, None, None
     if gt_path.exists():
-        index, probs, proposals = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
+        index, probs, proposals = _gt_table(gt_path, meta)
     n = len(index)
     ann = ((), ())
     if ann_path.exists():
@@ -529,7 +529,7 @@ def _soft_labels(path):
         dataset = load_dataset(root)
         return dataset.meta, dataset._rows, dataset.probs, dataset.proposals
     meta = _dataset_meta(root)
-    index, probs, proposals = _bulk_or_rows(_gt_columns, _gt_rows, gt_path, meta)
+    index, probs, proposals = _gt_table(gt_path, meta)
     return meta, index, probs, np.asarray(proposals, dtype=np.int64)
 
 

@@ -183,7 +183,7 @@ def _columns(records: Sequence[AcceptanceRecord]):
     count one group ``(index, probs[m, K], proposals[m], annotated[m])``."""
     rows = [(rec.gt.num_classes, rec.proposal, rec.annotated) for rec in records]
     sizes, proposals, annotated = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-    groups = [np.flatnonzero(sizes == k) for k in np.unique(sizes)]
+    groups = [np.flatnonzero(sizes == k) for k in np.flatnonzero(np.bincount(sizes))]
     return [rec.image_id for rec in records], [
         (i, np.stack([records[j].gt.probs for j in i]), proposals[i], annotated[i])
         for i in groups

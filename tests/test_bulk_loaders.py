@@ -191,8 +191,7 @@ def test_gt_columns_match_the_row_reader(data):
         path = Path(tmp) / "gt.csv"
         path.write_bytes(data)
         want = _outcome(formats._gt_rows, path, META)
-        read = formats._gt_columns, formats._gt_rows, path, META
-        got = _outcome(formats._bulk_or_rows, *read)
+        got = _outcome(formats._gt_table, path, META)
         assert _gt_form(got) == _gt_form(want)
         _check(_bulk(formats._gt_columns, path, META), want, _gt_form)
 

@@ -1,5 +1,6 @@
 """Experiment orchestration, report emission, and the command line."""
 
+import dataclasses
 import inspect
 import json
 import re
@@ -11,11 +12,14 @@ from annobias import (
     CorrectionParams,
     DatasetMeta,
     LabelDistribution,
+    SimulationParams,
     Strategy,
+    estimate_delta_banded,
     estimate_delta_two_proposals,
     repair_labels,
 )
-from annobias.correction import estimate_transition_matrix
+from annobias.correction import _estimate_transitions, estimate_transition_matrix
+from annobias.harness import cli
 from annobias.harness.cli import build_parser, main
 from annobias.harness.config import ConfigError, ExperimentConfig
 from annobias.harness.experiments import (
@@ -539,6 +543,12 @@ class TestRunCalibration:
         cfg = ExperimentConfig(seed=0, dataset=str(ds_dir))
         with pytest.raises(ConfigError, match="unknown calibration method"):
             run_calibration(cfg, log_path, "bogus")
+        # the method is checked before any file is read
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        for log in (empty, tmp_path / "absent.csv"):
+            with pytest.raises(ConfigError, match="unknown calibration method"):
+                run_calibration(cfg, log, "bogus")
 
 
 class TestRunLabelCorrection:
@@ -643,19 +653,24 @@ class TestRunFromManifest:
         assert rerun.results == report.results
 
     def test_manifest_with_aggregation_key_replays(self, dataset_dir, tmp_path):
-        # manifests written while the config still had an `aggregation` field
+        # manifests and config files written while the config still had an
+        # `aggregation` or an `out_dir` field
         first = tmp_path / "first"
         cfg = ExperimentConfig(seed=6, dataset=str(dataset_dir), annotations=(3,))
         emit_report(run_simulation_experiment(cfg), first)
         manifest = json.loads((first / "manifest.json").read_text())
-        manifest["config"]["aggregation"] = "median"
+        manifest["config"].update(aggregation="median", out_dir="elsewhere")
         old = tmp_path / "old.json"
         old.write_text(json.dumps(manifest))
-        second = tmp_path / "second"
+        old_config = tmp_path / "old_config.json"
+        old_config.write_text(json.dumps(manifest["config"]))
+        second, third = tmp_path / "second", tmp_path / "third"
         rc = main(["report", "--from-manifest", str(old), "--out", str(second)])
         assert rc == 0
+        assert main(["simulate", "--config", str(old_config), "--out", str(third)]) == 0
         for name in ("results.csv", "aggregates.csv", "budget.csv"):
             assert (second / name).read_bytes() == (first / name).read_bytes()
+            assert (third / name).read_bytes() == (first / name).read_bytes()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -714,12 +729,11 @@ class TestCli:
         a, b = outs
         for name in ("results.csv", "aggregates.csv", "budget.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
-        # only the timestamp and the recorded output directory may differ
+        # only the timestamp may differ
         ma = json.loads((a / "manifest.json").read_text())
         mb = json.loads((b / "manifest.json").read_text())
         for m in (ma, mb):
             m.pop("created")
-            m["config"].pop("out_dir")
         assert ma == mb
 
     def test_simulate_requires_seed(self, dataset_dir, tmp_path, capsys):
@@ -1132,3 +1146,76 @@ class TestCliDefaultsMatchLibrary:
         for name, default in defaults.items():
             flag = tuple(args[name]) if name == "band" else args[name]
             assert flag == default, name
+
+    def test_every_owner_of_a_default_agrees(self, monkeypatch, tmp_path):
+        def default(owner, name):
+            if dataclasses.is_dataclass(owner):
+                return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+            return inspect.signature(owner).parameters[name].default
+
+        stages = [run_label_correction, repair_labels, ExperimentConfig]
+        banded = [run_calibration, estimate_delta_banded]
+        transitions = [estimate_transition_matrix, _estimate_transitions]
+        # argv, then each flag's dest and every owner of its default, with
+        # the owner's own name for it where that differs
+        cases = [
+            (
+                ["correct", "--dataset", "d", "--out", "o"],
+                {
+                    "corr_delta": [
+                        run_label_correction,
+                        ExperimentConfig,
+                        (CorrectionParams, "delta"),
+                    ],
+                    "corr_upper_bound": [
+                        run_label_correction,
+                        ExperimentConfig,
+                        (CorrectionParams, "upper_bound"),
+                    ],
+                    "cb_input": stages,
+                    "use_bc": stages,
+                    "use_cb": stages,
+                },
+            ),
+            (
+                ["calibrate", "--dataset", "d", "--log", "l"],
+                {
+                    "band": banded,
+                    "n_target": banded,
+                    "aggregate": banded,
+                    "threshold": [run_calibration, estimate_delta_two_proposals],
+                },
+            ),
+            (
+                ["estimate-transitions", "--dataset", "d", "--seed", "0", "--out", "o"],
+                {"n_images": transitions, "n_annos": transitions},
+            ),
+            (
+                ["compare-strategies", "--dataset", "d", "--log", "l", "--seed", "0"],
+                {"repetitions": [run_strategy_comparison, compare_strategies]},
+            ),
+        ]
+        for argv, flags in cases:
+            args = vars(build_parser().parse_args(argv))
+            for dest, owners in flags.items():
+                flag = tuple(args[dest]) if dest == "band" else args[dest]
+                for owner in owners:
+                    owner, name = owner if isinstance(owner, tuple) else (owner, dest)
+                    assert default(owner, name) == flag, (argv[0], dest, owner)
+
+        # an unset --rescale is resolved by the command, not by argparse
+        seen = {}
+
+        def fake(cfg, log_path, method, **kwargs):
+            seen.update(kwargs)
+            return {"method": method, "estimate": 0.0, "n_records": 0}
+
+        monkeypatch.setattr(cli, "run_calibration", fake)
+        assert main(["calibrate", "--dataset", str(tmp_path), "--log", "l"]) == 0
+        assert seen["rescale"] == 1.0
+        for owner in banded:
+            assert default(owner, "rescale") == 1.0
+
+        assert default(ExperimentConfig, "reject_fallback") == default(
+            SimulationParams, "reject_fallback"
+        )

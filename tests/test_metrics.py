@@ -1,12 +1,18 @@
 """KL divergence, probability bins, bin-matrix distance, budget, comparison."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import annobias
 from annobias import (
     AcceptanceRecord,
     BinMatrix,
@@ -407,6 +413,41 @@ class TestCompareStrategies:
         # if all ten draws collapsed to one class, the distance to the
         # all-accepted reference would be 0 or exactly 10/10
         assert 0.0 < result.sods[0] < 1.0
+
+    def test_record_api_does_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma (about 2 MB of RSS) on numpy 2.4; the
+        # record API runs on records of two class counts in a fresh
+        # interpreter and must leave it unloaded
+        script = textwrap.dedent(
+            """
+            import sys
+            import numpy
+            if "numpy.ma" in sys.modules:
+                sys.exit(3)  # this numpy imports numpy.ma eagerly
+            from annobias import AcceptanceRecord, LabelDistribution
+            from annobias import SimulationParams, Strategy
+            from annobias import build_bin_matrix, compare_strategies
+            gts = {k: LabelDistribution([0.5, 0.5] + [0.0] * (k - 2)) for k in (2, 3)}
+            records = [
+                AcceptanceRecord(f"im{i}", i % k, 0, gts[k])
+                for i, k in enumerate([2, 3, 2, 3, 3])
+            ]
+            p = SimulationParams(delta=0.1)
+            compare_strategies(records, Strategy.ACCEPT_GT, p, 2, seed=1)
+            build_bin_matrix(records)
+            assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+            """
+        )
+        src = str(Path(annobias.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        if done.returncode == 3:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert done.returncode == 0, done.stderr
 
     def test_single_record_works(self):
         gt = LabelDistribution([0.5, 0.3, 0.2])
