@@ -24,13 +24,13 @@ from .. import __version__
 from ..calibration import STUDY_RESCALE
 from ..correction import _CB_INPUTS
 from ..simulation import _REJECT_FALLBACKS
-from .config import ConfigError, ExperimentConfig, _check_offset
+from .config import ConfigError, ExperimentConfig
 from .experiments import (
-    _repaired,
     _resolve_transitions,
     emit_report,
     run_calibration,
     run_from_manifest,
+    run_label_correction,
     run_simulation_experiment,
     run_strategy_comparison,
 )
@@ -39,6 +39,7 @@ from .formats import (
     _dump_json,
     _float_texts,
     _gt_header,
+    _read_json,
     _soft_labels,
     _write_table,
     save_transition_matrix,
@@ -213,13 +214,14 @@ def _config_flags(args) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    data = ExperimentConfig.from_file(args.config).to_mapping() if args.config else {}
+    # the flags win over the file's keys, and the merged mapping is checked once
+    data = _read_json(args.config) if args.config else {}
     data.update(_config_flags(args))
     if data.get("seed") is None:
         raise ConfigError("a seed is required (--seed or config file)")
     if not data.get("dataset"):
         raise ConfigError("a dataset is required (--dataset or config file)")
-    cfg = ExperimentConfig.from_mapping(data, source="<command line>")
+    cfg = ExperimentConfig.from_mapping(data, source=args.config or "<command line>")
     report = run_simulation_experiment(cfg)
     written = emit_report(report, args.out)
     for path in written:
@@ -228,14 +230,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_correct(args) -> int:
-    _check_offset("corr", args.corr_delta, args.corr_upper_bound)
-    stages = dict(use_bc=args.use_bc, use_cb=args.use_cb, cb_input=args.cb_input)
-    params = args.corr_delta, args.corr_upper_bound, args.mu
-    dataset, repaired = _repaired(
-        args.dataset, args.transitions, args.seed, *params, **stages
+    keys = ("corr_delta", "corr_upper_bound", "mu", "use_bc", "use_cb", "cb_input")
+    ids, repaired = run_label_correction(
+        args.dataset, args.transitions, args.seed, **{k: vars(args)[k] for k in keys}
     )
-    rows = ([i, *texts] for i, texts in zip(dataset.ids, _float_texts(repaired)))
-    _write_table(args.out, _gt_header(dataset.num_classes), rows)
+    rows = ([i, *texts] for i, texts in zip(ids, _float_texts(repaired)))
+    _write_table(args.out, _gt_header(repaired.shape[1]), rows)
     print(args.out)
     return 0
 
@@ -274,12 +274,7 @@ def _cmd_estimate_transitions(args) -> int:
     tm_file = TransitionMatrixFile.from_matrix(
         matrix,
         class_names=meta.class_names,
-        metadata={
-            "estimated_from": str(args.dataset),
-            "n_images": args.n_images,
-            "n_annos": args.n_annos,
-            "seed": args.seed,
-        },
+        metadata={"n_images": args.n_images, "n_annos": args.n_annos, "seed": args.seed},
     )
     save_transition_matrix(tm_file, args.out)
     print(args.out)

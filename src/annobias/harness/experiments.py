@@ -43,9 +43,8 @@ from ..metrics import (
 )
 from ..rng import substream
 from ..simulation import SimulationParams, Strategy, simulate_strategy_set
-from .config import ConfigError, ExperimentConfig, _check_seed
+from .config import ConfigError, ExperimentConfig, _check_offset, _check_seed
 from .formats import (
-    _BLOCK_ROWS,
     FormatError,
     _dataset_meta,
     _dump_json,
@@ -78,12 +77,8 @@ AGGREGATES_NAME = "aggregates.csv"
 BUDGET_NAME = "budget.csv"
 MANIFEST_NAME = "manifest.json"
 
-# columns of each report table, in the order the tables are written
-_COLUMNS = {
-    RESULTS_NAME: ("image_id", "annotations", "variant", "metric", "value"),
-    AGGREGATES_NAME: ("annotations", "variant", "metric", "aggregate", "value"),
-    BUDGET_NAME: ("speedup", "annotations", "budget"),
-}
+# images repaired and scored together; bounds the temporaries
+_BLOCK_ROWS = 128
 
 
 @dataclass
@@ -386,27 +381,20 @@ def run_label_correction(
     use_bc: bool = True,
     use_cb: bool = True,
     cb_input: str = "corrected",
-) -> list:
+) -> tuple:
     """Repair a dataset's raw annotation tallies.
 
     Every image needs raw annotations and an explicit proposal column —
     correction inverts a proposal-guided process, so guessing the proposal
     would silently change the question being answered.  Returns
-    ``(image_id, repaired LabelDistribution)`` pairs in dataset order.
+    ``(ids, rows)``: the image ids in dataset order and their repaired
+    distributions ``float64[N, K]``, as :func:`repair_labels` gives them.
     ``transitions`` names a matrix file; ``None`` estimates one from the
-    dataset's soft labels, which requires ``seed``.
+    dataset's soft labels, which requires ``seed``.  The offsets and
+    ``cb_input`` are checked before any file is read.
     """
-    stages = dict(use_bc=use_bc, use_cb=use_cb, cb_input=cb_input)
-    dataset, repaired = _repaired(
-        dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu, **stages
-    )
-    return [(i, LabelDistribution(probs)) for i, probs in zip(dataset.ids, repaired)]
-
-
-def _repaired(dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu, **st):
-    """:func:`run_label_correction` as the loaded dataset and its repaired
-    rows ``float64[N, K]``; ``st`` are the repair stages."""
-    _check_cb_input(st["cb_input"])
+    _check_offset("corr", corr_delta, corr_upper_bound)
+    _check_cb_input(cb_input)
     dataset = load_dataset(dataset_path)
     ids, counts, proposals = dataset.ids, dataset.counts, dataset.proposals
     missing_ann = np.flatnonzero(counts.sum(axis=1) == 0)
@@ -426,14 +414,15 @@ def _repaired(dataset_path, transitions, seed, corr_delta, corr_upper_bound, mu,
         upper_bound=corr_upper_bound,
         mu=dataset.meta.mu if mu is None else mu,
     )
+    stages = dict(use_bc=use_bc, use_cb=use_cb, cb_input=cb_input)
 
     def rows(i, j):
-        return repair_labels(counts[i:j], proposals[i:j], matrix, corr, **st)
+        return repair_labels(counts[i:j], proposals[i:j], matrix, corr, **stages)
 
     repaired = np.empty(counts.shape)
     for lo, hi, block in _by_block(rows, ids):
         repaired[lo:hi] = block
-    return dataset, repaired
+    return ids, repaired
 
 
 def _by_block(compute, ids):
@@ -467,8 +456,9 @@ def emit_report(report: Report, out_dir) -> list:
     written = [out / MANIFEST_NAME]
     _dump_json(report.manifest, written[0])
     tables = (report.results, report.aggregates, report.budget)
-    for (name, columns), rows in zip(_COLUMNS.items(), tables):
+    for name, rows in zip((RESULTS_NAME, AGGREGATES_NAME, BUDGET_NAME), tables):
         if rows:
+            columns = tuple(rows[0])  # each row lists its table's columns in order
             _write_table(out / name, columns, map(itemgetter(*columns), rows))
             written.append(out / name)
     return written

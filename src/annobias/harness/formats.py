@@ -77,8 +77,6 @@ _MATRIX_KEYS = {"class_names", "rows", "metadata"}
 _ANNOTATIONS_HEADER = ["image_id", "annotator_idx", "class"]
 _LOG_HEADER = ["image_id", "proposal_class", "annotated_class"]
 
-# images repaired and scored together; bounds the temporaries
-_BLOCK_ROWS = 128
 # float cells formatted together; bounds the distinct strings held at once
 _CHUNK_CELLS = 2**16
 

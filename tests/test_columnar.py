@@ -7,7 +7,6 @@ import csv
 import json
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -154,13 +153,12 @@ def _write(root: Path, k, with_proposals, gt_rows, annotations):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_datasets(), st.sampled_from([1, 2, 3, 128]))
-def test_columnar_loader_matches_the_row_by_row_reference(contents, block_rows):
+@given(_datasets())
+def test_columnar_loader_matches_the_row_by_row_reference(contents):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "ds"
         _write(root, *contents)
-        with mock.patch.object(formats, "_BLOCK_ROWS", block_rows):
-            ds = load_dataset(root)
+        ds = load_dataset(root)
         want = _reference_images(root, ds.meta)
         _assert_columns_hold(ds, want)
         _assert_same_records(ds.images, want)

@@ -498,4 +498,5 @@ def test_empty_dataset_gives_empty_tables(tmp_path):
     report = run_simulation_experiment(cfg)
     assert report.results == [] and report.aggregates == []
     assert len(report.budget) == len(cfg.speedups) * len(cfg.annotations)
-    assert run_label_correction(str(path), transitions=str(matrix)) == []
+    ids, rows = run_label_correction(str(path), transitions=str(matrix))
+    assert ids == () and rows.shape == (0, 3)

@@ -230,8 +230,8 @@ CALIBRATE = {
 # estimate-transitions' JSON file, per --n-images: above the pool of ten
 # images (drawn with replacement) and below it (a permutation)
 ESTIMATE_TRANSITIONS = {
-    25: "adc0760604c6d6eb88757a6a76886247ee677f0aeb7d06ee21c3ca8165e997cc",
-    7: "8f38f674c34e2c9dc3d2ea45d48406542eb09ce4e12a981ed8c8f18fcd75ee9c",
+    25: "d19b2d50b6143887b0702de8a88589b5e980eb0dbb7b3ea3267bd811c1d67048",
+    7: "1a36a994aad3ba096d3dabe2dd530bd7cbd8e79b080907517f7ba09c01229e5b",
 }
 
 
@@ -373,13 +373,11 @@ def test_calibrate_digests(golden_dir, tmp_path, run):
 
 
 @pytest.mark.parametrize("n_images", sorted(ESTIMATE_TRANSITIONS))
-def test_estimate_transitions_digests(golden_dir, tmp_path, monkeypatch, n_images):
-    # the file records the dataset path as given, so give it relative
-    monkeypatch.chdir(golden_dir)
+def test_estimate_transitions_digests(golden_dir, tmp_path, n_images):
     out = tmp_path / "matrix.json"
     argv = [
         "estimate-transitions",
-        "--dataset", "ds",
+        "--dataset", str(golden_dir / "ds"),
         "--seed", str(SEED),
         "--n-images", str(n_images),
         "--n-annos", "5",

@@ -553,18 +553,28 @@ class TestRunCalibration:
 
 class TestRunLabelCorrection:
     def test_matches_direct_repair(self, annotated_dataset_dir, identity_transitions):
-        out = run_label_correction(
+        ids, rows = run_label_correction(
             str(annotated_dataset_dir), transitions=str(identity_transitions)
         )
         ds = load_dataset(annotated_dataset_dir)
-        assert [image_id for image_id, _ in out] == [
-            img.image_id for img in ds.images
-        ]
+        assert list(ids) == [img.image_id for img in ds.images]
+        assert rows.shape == (len(ds.images), ds.num_classes)
         matrix = load_transition_matrix(identity_transitions).matrix
         corr = CorrectionParams(delta=0.1, upper_bound=0.99, mu=ds.meta.mu)
-        for (_, repaired), img in zip(out, ds.images):
+        for repaired, img in zip(rows, ds.images):
             expected = repair_labels(img.annotations, img.proposal, matrix, corr)
-            np.testing.assert_array_equal(repaired.probs, expected.probs)
+            np.testing.assert_array_equal(repaired, expected.probs)
+
+    def test_settings_are_checked_before_any_file_is_read(self, tmp_path, capsys):
+        absent = str(tmp_path / "absent")
+        message = "corr_delta must lie in [0, 1)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            run_label_correction(absent, corr_delta=1.5)
+        argv = ["correct", "--dataset", absent, "--corr-delta", "1.5"]
+        assert main([*argv, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ValueError, match="cb_input must be one of"):
+            run_label_correction(absent, cb_input="bogus")
 
     def test_missing_annotations(self, tmp_path):
         ds = build_dataset(3, seed=2, with_proposal=True)
@@ -589,11 +599,10 @@ class TestRunLabelCorrection:
             run_label_correction(str(annotated_dataset_dir))
 
     def test_estimation_is_deterministic(self, annotated_dataset_dir):
-        a = run_label_correction(str(annotated_dataset_dir), seed=4)
-        b = run_label_correction(str(annotated_dataset_dir), seed=4)
-        for (id_a, dist_a), (id_b, dist_b) in zip(a, b):
-            assert id_a == id_b
-            np.testing.assert_array_equal(dist_a.probs, dist_b.probs)
+        ids_a, rows_a = run_label_correction(str(annotated_dataset_dir), seed=4)
+        ids_b, rows_b = run_label_correction(str(annotated_dataset_dir), seed=4)
+        assert ids_a == ids_b
+        np.testing.assert_array_equal(rows_a, rows_b)
 
     def test_matrix_width_must_match(self, annotated_dataset_dir, tmp_path):
         two_class = tmp_path / "two.json"
@@ -642,12 +651,19 @@ class TestRunFromManifest:
     ):
         ds = build_dataset(5, seed=2)
         save_dataset(ds, tmp_path / "ds")
+        identity = TransitionMatrixFile(tuple(map(tuple, np.eye(3))))
+        save_transition_matrix(identity, tmp_path / "matrix.json")
         cfg = ExperimentConfig(
-            seed=9, dataset=str(tmp_path / "ds"), annotations=(2,)
+            seed=9,
+            dataset=str(tmp_path / "ds"),
+            annotations=(2,),
+            transitions=str(tmp_path / "matrix.json"),
         )
         report = run_simulation_experiment(cfg)
         portable = dict(report.manifest)
-        portable["config"] = dict(portable["config"], dataset="ds")
+        portable["config"] = dict(
+            portable["config"], dataset="ds", transitions="matrix.json"
+        )
         (tmp_path / "manifest.json").write_text(json.dumps(portable))
         rerun = run_from_manifest(tmp_path / "manifest.json")
         assert rerun.results == report.results
@@ -744,6 +760,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "seed" in err
+
+    def test_simulate_flags_complete_a_config_file(self, dataset_dir, tmp_path):
+        # the file alone need not pass the checks: the flags are laid over
+        # it first, so a file without a seed, or naming a dataset that is
+        # gone, runs as the same flags would
+        flags = ["--dataset", str(dataset_dir), "--seed", "3"]
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({"annotations": [5], "metrics": ["kl"]}))
+        stale = tmp_path / "stale.json"
+        gone = str(tmp_path / "gone")
+        stale.write_text(json.dumps({"dataset": gone, "seed": 8, "annotations": [5]}))
+        tables = {}
+        for name, argv in (
+            ("flags", [*flags, "--annotations", "5", "--metrics", "kl"]),
+            ("partial", ["--config", str(partial), *flags]),
+            ("stale", ["--config", str(stale), *flags]),
+        ):
+            out = tmp_path / name
+            assert main(["simulate", *argv, "--out", str(out)]) == 0
+            tables[name] = [
+                (out / table).read_bytes()
+                for table in ("results.csv", "aggregates.csv", "budget.csv")
+            ]
+        assert tables["partial"] == tables["flags"]
+        assert tables["stale"] == tables["flags"]
 
     def test_simulate_rejects_bad_strategy(self, dataset_dir, tmp_path, capsys):
         rc = main(
@@ -1016,7 +1057,7 @@ class TestCli:
         assert data["n_records"] == 2000
 
     def test_estimate_transitions_writes_loadable_matrix(
-        self, dataset_dir, tmp_path, capsys
+        self, dataset_dir, tmp_path, capsys, monkeypatch
     ):
         out = tmp_path / "estimated.json"
         rc = main(
@@ -1035,6 +1076,13 @@ class TestCli:
         assert tm.matrix.num_classes == 3
         assert tm.metadata["seed"] == 3
         assert tm.class_names == ("class_0", "class_1", "class_2")
+        # the file does not depend on how the dataset path is spelled
+        monkeypatch.chdir(dataset_dir.parent)
+        for spelling in (dataset_dir.name, f"./{dataset_dir.name}"):
+            again = tmp_path / "again.json"
+            argv = ["estimate-transitions", "--dataset", spelling, "--seed", "3"]
+            assert main([*argv, "--out", str(again)]) == 0
+            assert again.read_bytes() == out.read_bytes()
 
     def test_compare_strategies_prints_ranking(self, tmp_path, capsys):
         ds_dir, log_path = _campaign_dir(tmp_path, n_images=20)
