@@ -8,6 +8,7 @@ safe to share across threads once constructed.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -139,35 +140,30 @@ class AnnotationSet:
     """Tally of one-hot annotations for one image.
 
     ``counts[k]`` is how often class ``k`` was picked; ``total`` is the
-    number of annotations and must equal ``sum(counts)``.
+    number of annotations, ``sum(counts)``.
     """
 
     counts: np.ndarray
-    total: int
 
     def __post_init__(self):
         if np.ndim(self.counts) != 1 or np.size(self.counts) < 2:
             raise ValueError("counts must be a 1-d vector over >= 2 classes")
-        c = _int_counts(self.counts, "annotation")
-        total, summed = int(self.total), int(c.sum())
-        if summed != total:
-            raise ValueError(f"counts sum to {summed} but total is {self.total}")
-        if total < 0:
-            raise ValueError("total must be non-negative")
-        object.__setattr__(self, "counts", c)
-        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "counts", _int_counts(self.counts, "annotation"))
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "AnnotationSet":
-        c = np.asarray(counts, dtype=np.int64)
-        return cls(c, int(c.sum()))
+        return cls(counts)
 
     @classmethod
     def tally(cls, classes: Iterable[int], num_classes: int) -> "AnnotationSet":
         c = np.bincount(np.fromiter(classes, dtype=np.int64), minlength=num_classes)
         if c.size > num_classes:
             raise ValueError("class index out of range")
-        return cls(c, int(c.sum()))
+        return cls(c)
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def num_classes(self) -> int:
@@ -304,8 +300,8 @@ def argmax_class(d) -> int:
 
 
 def _check_proposal(num_classes: int, proposal) -> int:
-    """``proposal`` as an int; IndexError unless it names one of the classes."""
-    proposal = int(proposal)
+    """``proposal`` as an int; TypeError unless integral, IndexError unless a class."""
+    proposal = operator.index(proposal)
     if not 0 <= proposal < num_classes:
         raise IndexError(
             f"proposal {proposal} out of range for {num_classes} classes"
@@ -313,11 +309,15 @@ def _check_proposal(num_classes: int, proposal) -> int:
     return proposal
 
 
-def _check_proposals(num_classes: int, proposals: np.ndarray) -> None:
-    """:func:`_check_proposal` of every entry; raises for the first bad one."""
+def _check_proposals(num_classes: int, proposals) -> np.ndarray:
+    """:func:`_check_proposal` of every entry, raising for the first bad one; int64."""
+    proposals = np.asarray(proposals)
+    if proposals.size and proposals.dtype.kind not in "iu":
+        raise TypeError(f"proposals must be integers, not {proposals.dtype}")
     bad = (proposals < 0) | (proposals >= num_classes)
     if bad.any():
         _check_proposal(num_classes, proposals[np.argmax(bad)])
+    return proposals.astype(np.int64, copy=False)
 
 
 def _uniform_index(n: int, u):

@@ -192,8 +192,7 @@ def repair_labels(
         rows = repair_labels(a.counts[None], np.array([proposal]), t, p, **stages)
         return LabelDistribution(rows[0])
     counts = np.asarray(a)
-    proposals = np.asarray(proposal, dtype=np.int64)
-    _check_proposals(counts.shape[1], proposals)
+    proposals = _check_proposals(counts.shape[1], proposal)
     totals = counts.sum(axis=1)
     if (totals < 1).any():
         raise ValueError("need at least one annotation")

@@ -234,9 +234,15 @@ class ImageRecord:
 
     image_id: str
     gt: LabelDistribution
-    annotations: Optional[AnnotationSet] = None
     annotation_classes: tuple = ()
     proposal: Optional[int] = None
+
+    @property
+    def annotations(self) -> Optional[AnnotationSet]:
+        """Tally of ``annotation_classes``; None when there are none."""
+        if not self.annotation_classes:
+            return None
+        return AnnotationSet.tally(self.annotation_classes, self.gt.num_classes)
 
 
 class Dataset:
@@ -261,10 +267,6 @@ class Dataset:
                     f"image {img.image_id!r}: {img.gt.num_classes} classes, "
                     f"metadata declares {k}"
                 )
-            if img.annotations is not None and img.annotations.num_classes != k:
-                raise FormatError(
-                    f"image {img.image_id!r}: annotation tally has wrong width"
-                )
             if not all(0 <= c < k for c in img.annotation_classes):
                 raise FormatError(f"image {img.image_id!r}: unknown annotation class")
             if img.proposal is not None and not 0 <= img.proposal < k:
@@ -277,11 +279,6 @@ class Dataset:
         rows = [i for i, img in enumerate(images) for _ in img.annotation_classes]
         classes = [c for img in images for c in img.annotation_classes]
         self._fill(meta, index, probs, proposals, rows, classes)
-        for img, counts in zip(images, self.counts):
-            if img.annotations is not None and (img.annotations.counts != counts).any():
-                raise FormatError(
-                    f"image {img.image_id!r}: annotation tally differs from its classes"
-                )
         self._images = images
 
     def _fill(self, meta, index, probs, proposals, rows, classes) -> None:
@@ -310,16 +307,15 @@ class Dataset:
         if self._images is None:
             ends = zip(self.offsets.tolist(), self.offsets[1:].tolist())
             proposals = self.proposals.tolist()
-            columns = zip(self.ids, self.probs, self.counts, ends, proposals)
+            columns = zip(self.ids, self.probs, ends, proposals)
             self._images = tuple(
                 ImageRecord(
                     image_id,
                     LabelDistribution(probs),
-                    AnnotationSet(counts, hi - lo) if hi > lo else None,
                     tuple(self.classes[lo:hi].tolist()),
                     None if proposal < 0 else proposal,
                 )
-                for image_id, probs, counts, (lo, hi), proposal in columns
+                for image_id, probs, (lo, hi), proposal in columns
             )
         return self._images
 

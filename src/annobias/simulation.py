@@ -128,7 +128,7 @@ def _rejected_class(probs: np.ndarray, proposal: np.ndarray, fallback: str, r):
 
     Row ``i`` proposed ``proposal[i]`` and reads the uniform ``r[i]``.
     Walks the cumulative ground-truth mass of the non-proposal classes and
-    returns the first class whose cumulative mass reaches ``r`` times the
+    returns the first class whose cumulative mass exceeds ``r`` times the
     total non-proposal mass.  When that mass is zero (or the walk runs off
     the end) the ``fallback`` policy decides: ``"first"`` is the first
     non-proposal class, ``"random"`` reuses ``r`` for a uniform pick among
@@ -139,9 +139,10 @@ def _rejected_class(probs: np.ndarray, proposal: np.ndarray, fallback: str, r):
     remainder = 1.0 - probs[at]
     masked = probs.copy()
     masked[at] = 0.0
-    # entries below the target in a nondecreasing cumsum: searchsorted "left"
-    idx = (masked.cumsum(axis=1) < (r * remainder)[:, None]).sum(axis=1)
-    idx = np.where(remainder > 0.0, idx + (idx == proposal), k)
+    # entries at or below the target in a nondecreasing cumsum: searchsorted
+    # "right", so the class found has mass and is never the proposal
+    idx = (masked.cumsum(axis=1) <= (r * remainder)[:, None]).sum(axis=1)
+    idx = np.where(remainder > 0.0, idx, k)
     overflow = idx >= k
     if not overflow.any():
         return idx
@@ -358,4 +359,4 @@ def simulate_strategy_set(
     proposal = _check_proposal(gt.num_classes, proposal)
     n = p.repetitions
     counts = _simulate_counts(strategy, gt.probs[None], [proposal], n, p, rng)
-    return AnnotationSet(counts[0], n)
+    return AnnotationSet(counts[0])

@@ -68,7 +68,7 @@ def build_dataset(
     images = []
     for i, gt in enumerate(gts):
         proposal = int(np.argmax(gt.probs)) if with_proposal else None
-        images.append(ImageRecord(f"img_{i:04d}", gt, None, (), proposal))
+        images.append(ImageRecord(f"img_{i:04d}", gt, (), proposal))
     return Dataset(meta, tuple(images))
 
 
@@ -130,7 +130,7 @@ def banded_campaign(seed, delta, n_images=20, annotations_per_image=100):
         rest = rng.random(2) + 0.1
         rest = rest / rest.sum() * (1.0 - p)
         gt = LabelDistribution([p, rest[0], rest[1]])
-        images.append(ImageRecord(f"img_{i}", gt, None, (), 0))
+        images.append(ImageRecord(f"img_{i}", gt, (), 0))
         for _ in range(annotations_per_image):
             ann = simulate_annotation(gt, 0, params, rng)
             entries.append(LogEntry(f"img_{i}", 0, ann))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from annobias import (
-    AnnotationSet,
     DatasetMeta,
     LabelDistribution,
     Strategy,
@@ -74,8 +73,7 @@ def paths(tmp_path):
     images = []
     for img in ds.images:
         classes = tuple(int(c) for c in rng.choice(3, size=4, p=img.gt.probs))
-        tally = AnnotationSet.tally(classes, 3)
-        images.append(ImageRecord(img.image_id, img.gt, tally, classes, img.proposal))
+        images.append(ImageRecord(img.image_id, img.gt, classes, img.proposal))
     save_dataset(Dataset(ds.meta, tuple(images)), tmp_path / "annotated")
 
     matrix = TransitionMatrixFile.from_matrix(TransitionMatrix.identity(3))
@@ -84,7 +82,7 @@ def paths(tmp_path):
     meta, images, entries = DatasetMeta(tuple(f"c{i}" for i in range(6))), [], []
     for rec in two_proposal_dataset(seed=0, delta=0.1, n_records=30):
         gt = LabelDistribution(np.full(6, 1 / 6))
-        images.append(ImageRecord(rec.image_id, gt, None, (), None))
+        images.append(ImageRecord(rec.image_id, gt, (), None))
         for rho, tally in zip(
             (rec.proposal_a, rec.proposal_b), (rec.annotations_a, rec.annotations_b)
         ):

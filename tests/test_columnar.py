@@ -41,7 +41,7 @@ _ANNOTATIONS_HEADER = ["image_id", "annotator_idx", "class"]
 
 def _reference_images(root: Path, meta: DatasetMeta) -> list:
     """load_dataset of a valid directory, read row by row into one
-    LabelDistribution, AnnotationSet and ImageRecord per image."""
+    LabelDistribution and ImageRecord per image."""
     k = meta.num_classes
     gt_path, ann_path = root / "gt.csv", root / "annotations.csv"
     gt_rows = None
@@ -60,12 +60,11 @@ def _reference_images(root: Path, meta: DatasetMeta) -> list:
     images = []
     for image_id in ann_rows if gt_rows is None else gt_rows:
         classes = tuple(ann_rows.get(image_id, ()))
-        annotations = AnnotationSet.tally(classes, k) if classes else None
         if gt_rows is None:
-            gt, proposal = soft_gt_from_annotations(annotations), None
+            gt, proposal = soft_gt_from_annotations(AnnotationSet.tally(classes, k)), None
         else:
             gt, proposal = gt_rows[image_id]
-        images.append(ImageRecord(image_id, gt, annotations, classes, proposal))
+        images.append(ImageRecord(image_id, gt, classes, proposal))
     return images
 
 
@@ -271,7 +270,7 @@ def test_an_unknown_log_image_names_the_log_file_and_line(tmp_path, capsys):
 @pytest.mark.parametrize("classes", [(0, 2), (-1,)])
 def test_records_with_an_out_of_range_annotation_class_are_rejected(classes):
     # the class would land in another image's tally column
-    img = ImageRecord("x", LabelDistribution([1.0, 0.0]), None, classes, None)
-    other = ImageRecord("y", LabelDistribution([0.0, 1.0]), None, (), None)
+    img = ImageRecord("x", LabelDistribution([1.0, 0.0]), classes, None)
+    other = ImageRecord("y", LabelDistribution([0.0, 1.0]), (), None)
     with pytest.raises(FormatError, match="'x': unknown annotation class"):
         Dataset(DatasetMeta(("a", "b")), (img, other))

@@ -7,13 +7,19 @@ from hypothesis import strategies as st
 
 from annobias import (
     AnnotationSet,
+    CorrectionParams,
     DatasetMeta,
     DegenerateDistributionError,
     LabelDistribution,
+    SimulationParams,
     TransitionMatrix,
+    acceptance_probability,
     argmax_class,
+    bias_correct,
     normalize,
+    repair_labels,
     sample_class,
+    simulate_annotation,
     soft_gt_from_annotations,
     substream,
 )
@@ -209,9 +215,41 @@ class TestAnnotationSet:
         with pytest.raises(ValueError):
             AnnotationSet.from_counts([2, -1])
 
-    def test_total_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AnnotationSet(counts=np.array([2, 1]), total=4)
+    def test_from_counts_rejects_what_the_constructor_rejects(self):
+        with pytest.raises(ValueError, match="annotation counts must be integers"):
+            AnnotationSet.from_counts([1.5, 2.0])
+
+
+GT3 = LabelDistribution([0.2, 0.3, 0.5])
+TALLY3 = AnnotationSet.from_counts([1, 2, 3])
+T3 = TransitionMatrix.identity(3)
+SIM, CORR = SimulationParams(delta=0.1), CorrectionParams()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: acceptance_probability(GT3, 2.9, SIM),
+        lambda: bias_correct(TALLY3, 0.7, CORR),
+        lambda: repair_labels(TALLY3.counts[None], [1.9], T3, CORR),
+        lambda: simulate_annotation(GT3, 1.5, SIM, np.random.default_rng(0)),
+    ],
+    ids=["acceptance_probability", "bias_correct", "repair_labels", "simulate"],
+)
+def test_non_integer_proposal_is_refused(call):
+    # truncation would answer for another proposal: 2.9 for 2, 0.7 for 0
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_integer_proposals_of_any_kind_are_taken():
+    counts = TALLY3.counts[None]
+    want = repair_labels(counts, [2], T3, CORR)
+    for proposals in (np.array([2], np.uint8), np.array([2], np.int32)):
+        np.testing.assert_array_equal(repair_labels(counts, proposals, T3, CORR), want)
+    assert repair_labels(np.empty((0, 3), np.int64), [], T3, CORR).shape == (0, 3)
+    want = acceptance_probability(GT3, 2, SIM)
+    assert acceptance_probability(GT3, np.int64(2), SIM) == want
 
 
 class TestTransitionMatrix:

@@ -344,7 +344,7 @@ def _mixed_dataset(tmp_path, n_images=11):
         w[i % 9] += 0.5
         proposal = None if i % 3 == 0 else int(rng.random() * 9)
         gt = LabelDistribution(w / w.sum())
-        images.append(ImageRecord(f"img_{i:04d}", gt, None, (), proposal))
+        images.append(ImageRecord(f"img_{i:04d}", gt, (), proposal))
     meta = DatasetMeta(tuple(f"c{i}" for i in range(9)), delta=0.12)
     path = tmp_path / "ds"
     save_dataset(Dataset(meta, tuple(images)), path)

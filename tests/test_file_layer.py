@@ -42,7 +42,6 @@ def quoted_inputs(tmp_path):
         ImageRecord(
             image_id,
             LabelDistribution(np.array(gt)),
-            None,
             (0, 1, i % 3),
             i % 3,
         )

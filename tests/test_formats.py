@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from annobias import (
-    AnnotationSet,
     DatasetMeta,
     LabelDistribution,
     TransitionMatrix,
@@ -55,15 +54,13 @@ def _mixed_dataset():
         ImageRecord(
             "img_a",
             LabelDistribution([0.5, 0.3, 0.2]),
-            AnnotationSet.tally((0, 0, 1, 0), 3),
             (0, 0, 1, 0),
             0,
         ),
-        ImageRecord("img_b", LabelDistribution([0.1, 0.8, 0.1]), None, (), None),
+        ImageRecord("img_b", LabelDistribution([0.1, 0.8, 0.1]), (), None),
         ImageRecord(
             "img_c",
             LabelDistribution([0.25, 0.25, 0.5]),
-            AnnotationSet.tally((2, 2), 3),
             (2, 2),
             2,
         ),
@@ -100,6 +97,15 @@ class TestDatasetRoundTrip:
         assert b.proposal is None  # empty proposal cell reads back as None
         assert b.annotations is None
         assert c.proposal == 2
+
+    def test_record_tally_is_derived_from_its_classes(self, tmp_path):
+        gt = LabelDistribution([0.5, 0.3, 0.2])
+        ds = Dataset(DatasetMeta(("a", "b", "c")), [ImageRecord("x", gt, (0, 1, 1), 0)])
+        assert ds.counts[0].tolist() == [1, 2, 0]
+        assert ds.images[0].annotations.counts.tolist() == ds.counts[0].tolist()
+        save_dataset(ds, tmp_path / "d")
+        loaded = load_dataset(tmp_path / "d")
+        assert loaded.images[0].annotations.counts.tolist() == ds.counts[0].tolist()
 
     def test_generated_dataset_round_trips(self, tmp_path):
         ds = build_dataset(15, seed=5, with_proposal=True)
@@ -282,25 +288,17 @@ class TestDatasetErrors:
             load_dataset(root)
 
     def test_dataset_rejects_duplicate_images(self):
-        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), None, (), None)
+        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), (), None)
         with pytest.raises(FormatError, match="duplicate image_id"):
             Dataset(DatasetMeta(("a", "b")), (img, img))
 
     def test_dataset_rejects_width_mismatch(self):
-        img = ImageRecord("x", LabelDistribution([1.0, 0.0, 0.0]), None, (), None)
+        img = ImageRecord("x", LabelDistribution([1.0, 0.0, 0.0]), (), None)
         with pytest.raises(FormatError, match="metadata declares 2"):
             Dataset(DatasetMeta(("a", "b")), (img,))
 
-    @pytest.mark.parametrize("counts, classes", [([5, 0], (1,)), ([2, 1], ())])
-    def test_dataset_rejects_tally_that_contradicts_its_classes(self, counts, classes):
-        # the columns are tallied from the classes, so such a tally would be lost
-        tally = AnnotationSet.from_counts(counts)
-        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), tally, classes, 0)
-        with pytest.raises(FormatError, match="image 'x': annotation tally differs"):
-            Dataset(DatasetMeta(("a", "b")), (img,))
-
     def test_dataset_rejects_out_of_range_proposal(self):
-        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), None, (), 7)
+        img = ImageRecord("x", LabelDistribution([1.0, 0.0]), (), 7)
         with pytest.raises(FormatError, match="out of range"):
             Dataset(DatasetMeta(("a", "b")), (img,))
 

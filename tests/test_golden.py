@@ -16,7 +16,6 @@ import pytest
 
 from annobias import DatasetMeta, LabelDistribution, Strategy
 from annobias.harness.cli import main
-from annobias.core import AnnotationSet
 from annobias.harness.formats import (
     Dataset,
     ImageRecord,
@@ -244,7 +243,7 @@ def golden_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     meta = DatasetMeta(("a", "b", "c", "d"), delta=0.15)
     images = tuple(
-        ImageRecord(f"img{i}", LabelDistribution(gt), None, (), proposal)
+        ImageRecord(f"img{i}", LabelDistribution(gt), (), proposal)
         for i, (gt, proposal) in enumerate(zip(GTS, PROPOSALS))
     )
     save_dataset(Dataset(meta, images), root / "ds")
@@ -259,13 +258,7 @@ def golden_dir(tmp_path_factory):
     save_acceptance_log(two_rounds, root / "two_rounds.csv", meta)
 
     annotated = tuple(
-        ImageRecord(
-            f"img{i}",
-            LabelDistribution(gt),
-            AnnotationSet.tally(classes, len(meta.class_names)),
-            classes,
-            proposal,
-        )
+        ImageRecord(f"img{i}", LabelDistribution(gt), classes, proposal)
         for i, (gt, classes, proposal) in enumerate(
             zip(GTS, ANNOTATIONS, CORRECT_PROPOSALS)
         )

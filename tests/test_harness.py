@@ -66,7 +66,6 @@ def annotated_dataset_dir(tmp_path):
             type(img)(
                 img.image_id,
                 img.gt,
-                None,
                 classes,
                 img.proposal,
             )
@@ -451,7 +450,7 @@ class TestRunCalibration:
     def test_out_of_band_error_reports_occupancy(self, tmp_path):
         gt = LabelDistribution([0.5, 0.3, 0.2])  # proposal mass in bin 3
         images = tuple(
-            ImageRecord(f"img_{i}", gt, None, (), 0) for i in range(3)
+            ImageRecord(f"img_{i}", gt, (), 0) for i in range(3)
         )
         ds = Dataset(DatasetMeta(("a", "b", "c")), images)
         ds_dir = tmp_path / "ds"
@@ -466,7 +465,7 @@ class TestRunCalibration:
     def _edge_setup(self, tmp_path, masses):
         """One accepted record per image, proposing class 0 at each mass."""
         images = tuple(
-            ImageRecord(f"img_{i}", LabelDistribution([m, 0.5, 0.5 - m]), None, (), 0)
+            ImageRecord(f"img_{i}", LabelDistribution([m, 0.5, 0.5 - m]), (), 0)
             for i, m in enumerate(masses)
         )
         ds = Dataset(DatasetMeta(("a", "b", "c")), images)
@@ -504,7 +503,7 @@ class TestRunCalibration:
                 entries.extend([LogEntry(rec.image_id, rec.proposal_b, cls)] * int(n))
         meta = DatasetMeta(tuple(f"class_{i}" for i in range(6)))
         placeholder = ImageRecord(
-            "unused", LabelDistribution(np.full(6, 1 / 6)), None, (), None
+            "unused", LabelDistribution(np.full(6, 1 / 6)), (), None
         )
         ds_dir = tmp_path / "six"
         save_dataset(Dataset(meta, (placeholder,)), ds_dir)
@@ -526,7 +525,7 @@ class TestRunCalibration:
     def test_two_proposal_protocol_error_names_the_log(self, tmp_path):
         meta = DatasetMeta(("a", "b", "c"))
         placeholder = ImageRecord(
-            "unused", LabelDistribution([0.5, 0.3, 0.2]), None, (), None
+            "unused", LabelDistribution([0.5, 0.3, 0.2]), (), None
         )
         ds_dir = tmp_path / "ds"
         save_dataset(Dataset(meta, (placeholder,)), ds_dir)
@@ -586,7 +585,7 @@ class TestRunLabelCorrection:
     def test_missing_proposals(self, tmp_path):
         ds = build_dataset(3, seed=2)
         images = tuple(
-            type(img)(img.image_id, img.gt, None, (0, 1), None)
+            type(img)(img.image_id, img.gt, (0, 1), None)
             for img in ds.images
         )
         ds_dir = tmp_path / "ds"

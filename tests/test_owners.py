@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from annobias.core import AnnotationSet, DegenerateDistributionError, TransitionMatrix
+from annobias.core import DegenerateDistributionError, TransitionMatrix
 from annobias.harness import experiments
 from annobias.harness.cli import main
 from annobias.harness.config import ExperimentConfig
@@ -28,8 +28,7 @@ def annotated_dir(tmp_path):
     images = []
     for img in ds.images:
         classes = tuple(int(c) for c in rng.choice(3, size=4, p=img.gt.probs))
-        tally = AnnotationSet.tally(classes, 3)
-        images.append(ImageRecord(img.image_id, img.gt, tally, classes, img.proposal))
+        images.append(ImageRecord(img.image_id, img.gt, classes, img.proposal))
     path = tmp_path / "ds"
     save_dataset(Dataset(ds.meta, tuple(images)), path)
     return path

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from annobias import (
-    AnnotationSet,
     DatasetMeta,
     LabelDistribution,
     SimulationParams,
@@ -61,8 +60,7 @@ def _write_inputs(root):
         rest *= (1.0 - mass) / rest.sum()
         gt = LabelDistribution(np.insert(rest, proposal, mass))
         classes = tuple(rng.choice(K, size=5, p=gt.probs).tolist())
-        tally = AnnotationSet.tally(classes, K)
-        images.append(ImageRecord(f"img_{i}", gt, tally, classes, proposal))
+        images.append(ImageRecord(f"img_{i}", gt, classes, proposal))
         for _ in range(10):
             annotated = simulate_annotation(gt, proposal, params, rng)
             banded.append(LogEntry(f"img_{i}", proposal, annotated))

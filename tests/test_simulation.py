@@ -17,7 +17,7 @@ from annobias import (
     simulate_with_strategy,
     substream,
 )
-from annobias.simulation import _rejected_class
+from annobias.simulation import _rejected_class, _simulate_counts
 
 
 class FakeRng:
@@ -412,3 +412,15 @@ def test_rejection_law_falls_back_when_walk_overflows(fallback, expected):
     rows = np.array([probs, probs])
     batch = _rejected_class(rows, np.array([1, 1]), fallback, np.array([0.1, r]))
     np.testing.assert_array_equal(batch, [0, expected])
+
+
+def test_rejection_at_uniform_zero_skips_classes_without_mass():
+    # r = 0 reaches the first class with non-proposal mass, as _draw_class
+    # does, not the first class of the walk
+    rows = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    got = _rejected_class(rows, np.array([2, 0]), "first", np.zeros(2))
+    np.testing.assert_array_equal(got, [1, 2])
+    p = SimulationParams(delta=0.1)
+    u = np.array([[0.999, 0.0]])  # reject the proposal, then draw at r = 0
+    counts = _simulate_counts(Strategy.ACCEPT_GT, rows[:1], [2], 1, p, u)
+    np.testing.assert_array_equal(counts, [[0, 1, 0]])
