@@ -11,7 +11,6 @@ discipline so every experiment is reproducible.
 from .calibration import (
     AcceptanceRecord,
     CalibrationError,
-    TwoProposalRecord,
     delta_from_acceptance,
     estimate_delta_banded,
     estimate_delta_two_proposals,
@@ -76,7 +75,6 @@ __all__ = [
     "Strategy",
     "StrategyComparison",
     "TransitionMatrix",
-    "TwoProposalRecord",
     "UncoveredClassError",
     "acceptance_probability",
     "aggregate_scores",

@@ -10,6 +10,7 @@ proposals and solves for the offset from the pair of acceptance rates.
 
 from __future__ import annotations
 
+import operator
 import statistics
 import warnings
 from dataclasses import dataclass
@@ -17,13 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, LabelDistribution
+from .core import LabelDistribution
 
 __all__ = [
     "STUDY_RESCALE",
     "CalibrationError",
     "AcceptanceRecord",
-    "TwoProposalRecord",
     "delta_from_acceptance",
     "estimate_delta_banded",
     "estimate_delta_two_proposals",
@@ -58,8 +58,8 @@ class AcceptanceRecord:
 
     def __post_init__(self):
         object.__setattr__(self, "image_id", str(self.image_id))
-        object.__setattr__(self, "proposal", int(self.proposal))
-        object.__setattr__(self, "annotated", int(self.annotated))
+        object.__setattr__(self, "proposal", operator.index(self.proposal))
+        object.__setattr__(self, "annotated", operator.index(self.annotated))
         k = self.gt.num_classes
         for field in ("proposal", "annotated"):
             v = getattr(self, field)
@@ -69,33 +69,6 @@ class AcceptanceRecord:
     @property
     def accepted(self) -> bool:
         return self.annotated == self.proposal
-
-
-@dataclass(frozen=True)
-class TwoProposalRecord:
-    """Two annotation rounds of one image under two distinct proposals."""
-
-    image_id: str
-    proposal_a: int
-    proposal_b: int
-    annotations_a: AnnotationSet
-    annotations_b: AnnotationSet
-
-    def __post_init__(self):
-        object.__setattr__(self, "image_id", str(self.image_id))
-        object.__setattr__(self, "proposal_a", int(self.proposal_a))
-        object.__setattr__(self, "proposal_b", int(self.proposal_b))
-        if self.proposal_a == self.proposal_b:
-            raise ValueError("the two proposals must be distinct")
-        k = self.annotations_a.num_classes
-        if self.annotations_b.num_classes != k:
-            raise ValueError("annotation rounds disagree on class count")
-        for field in ("proposal_a", "proposal_b"):
-            v = getattr(self, field)
-            if not 0 <= v < k:
-                raise ValueError(f"{field} {v} out of range for {k} classes")
-        if self.annotations_a.total < 1 or self.annotations_b.total < 1:
-            raise ValueError("each round needs at least one annotation")
 
 
 def delta_from_acceptance(
@@ -173,13 +146,16 @@ def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
     return min(max(est, 0.0), 1.0), inside, images
 
 
-def two_proposal_candidates(
-    records: Sequence[TwoProposalRecord],
-    upper_bound: float = 0.99,
-) -> list:
-    """Per-record raw offset candidates (may be non-finite; not filtered).
+def two_proposal_candidates(entries, upper_bound: float = 0.99) -> list:
+    """Raw offset candidates (may be non-finite; not filtered), one per image
+    of a two-round log, in order of first appearance.
 
-    For each record: an acceptance rate of 1 in the first round pins the
+    ``entries`` are the log's ``(image_id, proposal, annotated)`` rows, such
+    as :class:`~annobias.harness.formats.LogEntry`; class indices are
+    integers >= 0.  Every image must appear with exactly two distinct
+    proposals, and its rounds are ordered by first appearance.
+
+    For each image: an acceptance rate of 1 in the first round pins the
     ground truth to that proposal, so the second round's acceptance rate is
     the offset itself; a rate of 0 bounds the offset at 0 (the rate can
     never fall below it); symmetric conclusions apply when the second
@@ -188,47 +164,69 @@ def two_proposal_candidates(
     round's rejected annotations over the classes outside both proposals,
     and the acceptance law is inverted at the first round's rate.
     """
-    return [_two_proposal_candidate(rec, upper_bound) for rec in records]
+    ids, proposals, annotated = list(zip(*entries)) or ((), (), ())
+    proposals, annotated = (
+        np.array(list(map(operator.index, c)), np.int64) for c in (proposals, annotated)
+    )
+    if (proposals < 0).any() or (annotated < 0).any():
+        raise ValueError("class indices must be >= 0")
+    return _two_proposal_rows(ids, proposals, annotated, upper_bound).tolist()
 
 
-def _two_proposal_candidate(rec: TwoProposalRecord, upper_bound: float):
-    """The raw offset candidate of one record; see :func:`two_proposal_candidates`."""
-    ca = np.asarray(rec.annotations_a.counts, dtype=np.float64)
-    cb = np.asarray(rec.annotations_b.counts, dtype=np.float64)
-    rho_a, rho_b = rec.proposal_a, rec.proposal_b
-    acc_a = ca[rho_a] / rec.annotations_a.total
-    acc_b = cb[rho_b] / rec.annotations_b.total
-    if acc_a == 1.0:
-        return acc_b
-    if acc_a == 0.0:
-        return 0.0
-    if acc_b == 1.0:
-        return acc_a
-    if acc_b == 0.0:
-        return 0.0
+def _two_proposal_rows(ids, proposals, annotated, upper_bound) -> np.ndarray:
+    """:func:`two_proposal_candidates` of the log rows with image ``ids`` and
+    class columns ``proposals`` and ``annotated`` (``int64[N]``, >= 0)."""
+    index = {}
+    image = np.array([index.setdefault(j, len(index)) for j in ids], np.int64)
+    k = int(max(proposals.max(initial=0), annotated.max(initial=0))) + 1
+    keys, first, key_of_row = np.unique(
+        image * k + proposals, return_index=True, return_inverse=True
+    )
+    n = np.bincount(keys // k, minlength=len(index))
+    if (n != 2).any():
+        i = int(np.argmax(n != 2))
+        raise CalibrationError(
+            f"image {list(index)[i]!r} has {n[i]} distinct proposals "
+            f"in the log; the two-round protocol needs exactly 2"
+        )
+    # slot 2m + r holds round r of image m, rounds in order of first
+    # appearance; the swap is its own inverse, so it also maps slots to keys
+    slot = np.arange(keys.size) ^ (first[0::2] > first[1::2]).repeat(2)
+    rho = (keys % k)[slot].reshape(-1, 2)
+    counts = np.bincount(slot[key_of_row] * k + annotated, minlength=keys.size * k)
+    counts = counts.reshape(-1, 2, k).astype(np.float64)
+    rows = np.arange(len(rho))[:, None]
+    accepted = counts[rows, [0, 1], rho]
+    totals = counts.sum(axis=2)
+    acc = accepted / totals
+    # rejected second-round annotations, and the pooled annotations from
+    # both rounds landing outside both proposals
+    rejected_b = totals[:, 1:] - accepted[:, 1:]
+    pooled = counts.sum(axis=1)
+    pooled[rows, rho] = 0.0
+    outside = pooled.sum(axis=1, keepdims=True)
+    used = pooled > 0.0
+    widths = used.sum(axis=1)
 
-    # rejected second-round annotations, renormalized
-    c_prime = cb / (rec.annotations_b.total - cb[rho_b])
-    # pooled annotations from both rounds landing outside both proposals
-    pooled = ca + cb
-    pooled[rho_a] = 0.0
-    pooled[rho_b] = 0.0
-    outside_total = float(pooled.sum())
-    if outside_total <= 0.0:
-        return float("nan")
-    e = pooled / outside_total
-
-    # outside both proposals the joint correction term vanishes,
-    # leaving the plain ratio of rejected share to outside share
-    ratios = [
-        c_prime[k] / e[k]
-        for k in range(ca.size)
-        if k not in (rho_a, rho_b) and e[k] > 0.0
-    ]
-    p_not_rho_a = float(np.mean(ratios)) if ratios else 0.0
-    if p_not_rho_a <= 0.0:
-        return float("nan")
-    return (acc_a - upper_bound * (1.0 - p_not_rho_a)) / p_not_rho_a
+    # outside both proposals the joint correction term vanishes, leaving the
+    # mean ratio of rejected share to outside share over the used classes;
+    # each row sums them as one contiguous vector, as a one-row mean does
+    generic = np.flatnonzero(((0.0 < acc) & (acc < 1.0)).all(axis=1) & (widths > 0))
+    p_not_rho_a = np.full(len(rho), np.nan)
+    for width in np.unique(widths[generic]):
+        i = generic[widths[generic] == width]
+        c = np.nonzero(used[i])[1].reshape(i.size, width)
+        share_b = counts[i[:, None], 1, c] / rejected_b[i]
+        share_out = pooled[i[:, None], c] / outside[i]
+        p_not_rho_a[i] = (share_b / share_out).sum(axis=1) / width
+    p_not_rho_a[p_not_rho_a <= 0.0] = np.nan  # the law is undefined there
+    acc_a, acc_b = acc.T
+    law = (acc_a - upper_bound * (1.0 - p_not_rho_a)) / p_not_rho_a
+    return np.select(
+        [acc_a == 1.0, acc_a == 0.0, acc_b == 1.0, acc_b == 0.0],
+        [acc_b, 0.0, acc_a, 0.0],
+        law,
+    )
 
 
 def _median_below(candidates: list, threshold: float) -> tuple:
@@ -245,15 +243,15 @@ def _median_below(candidates: list, threshold: float) -> tuple:
 
 
 def estimate_delta_two_proposals(
-    records: Sequence[TwoProposalRecord],
+    entries,
     threshold: float = 0.8,
     upper_bound: float = 0.99,
 ) -> float:
-    """Median of the per-record candidates below ``threshold``.
+    """Median of the per-image candidates below ``threshold``.
 
     Non-finite candidates (degenerate denominators) are dropped before the
     threshold filter; no survivors is an error — the estimator is known to
     be fragile and refusing beats guessing.
     """
-    raw = two_proposal_candidates(records, upper_bound)
+    raw = two_proposal_candidates(entries, upper_bound)
     return _median_below(raw, threshold)[0]

@@ -16,7 +16,6 @@ from .formats import (
     save_acceptance_log,
     save_dataset,
     save_transition_matrix,
-    two_proposal_records_from_log,
 )
 
 __all__ = [
@@ -36,5 +35,4 @@ __all__ = [
     "save_acceptance_log",
     "save_dataset",
     "save_transition_matrix",
-    "two_proposal_records_from_log",
 ]

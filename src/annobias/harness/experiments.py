@@ -23,7 +23,7 @@ from ..calibration import (
     CalibrationError,
     _fit_banded,
     _median_below,
-    two_proposal_candidates,
+    _two_proposal_rows,
 )
 from ..core import LabelDistribution, _validated_rows
 from ..correction import (
@@ -55,7 +55,6 @@ from .formats import (
     _write_table,
     load_dataset,
     load_transition_matrix,
-    two_proposal_records_from_log,
 )
 
 __all__ = [
@@ -351,18 +350,16 @@ def run_calibration(
             "occupancy": occupancy_by_bin,
         }
     try:
-        entries = zip(ids, proposals.tolist(), annotated.tolist())
-        records = two_proposal_records_from_log(entries, meta.num_classes)
-    except FormatError as e:
+        raw = _two_proposal_rows(ids, proposals, annotated, sim.upper_bound).tolist()
+    except CalibrationError as e:
         raise FormatError(f"{log_path}: {e}") from e
-    raw = two_proposal_candidates(records, upper_bound=sim.upper_bound)
     estimate, survivors = _median_below(raw, threshold)
     return {
         "method": "two-proposal",
         "estimate": estimate,
         "threshold": threshold,
         "upper_bound": sim.upper_bound,
-        "n_records": len(records),
+        "n_records": len(raw),
         "n_finite_candidates": int(np.isfinite(raw).sum()),
         "n_survivors": len(survivors),
         "candidate_min": float(min(survivors)),

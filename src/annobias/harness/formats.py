@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from dataclasses import asdict, dataclass, field
 from importlib import resources
@@ -35,7 +36,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ..calibration import AcceptanceRecord, TwoProposalRecord
+from ..calibration import AcceptanceRecord
 from ..core import (
     AnnotationSet,
     DatasetMeta,
@@ -57,7 +58,6 @@ __all__ = [
     "load_acceptance_log",
     "save_acceptance_log",
     "acceptance_records_from_log",
-    "two_proposal_records_from_log",
     "load_transition_matrix",
     "save_transition_matrix",
     "bundled_transition_matrix",
@@ -256,28 +256,35 @@ class Dataset:
 
     def __init__(self, meta: DatasetMeta, images: Sequence[ImageRecord]):
         images = tuple(images)
-        index = {}
+        index, proposals, rows, classes = {}, [], [], []
         k = meta.num_classes
-        for img in images:
+        for i, img in enumerate(images):
             if _checked_id(img.image_id) in index:
                 raise FormatError(f"duplicate image_id {img.image_id!r}")
-            index[img.image_id] = len(index)
+            index[img.image_id] = i
             if img.gt.num_classes != k:
                 raise FormatError(
                     f"image {img.image_id!r}: {img.gt.num_classes} classes, "
                     f"metadata declares {k}"
                 )
-            if not all(0 <= c < k for c in img.annotation_classes):
+            try:
+                own = list(map(operator.index, img.annotation_classes))
+                proposal = -1 if img.proposal is None else operator.index(img.proposal)
+            except TypeError:
+                raise FormatError(
+                    f"image {img.image_id!r}: class indices must be integers"
+                ) from None
+            if not all(0 <= c < k for c in own):
                 raise FormatError(f"image {img.image_id!r}: unknown annotation class")
             if img.proposal is not None and not 0 <= img.proposal < k:
                 raise FormatError(
                     f"image {img.image_id!r}: proposal index {img.proposal} "
                     f"out of range"
                 )
+            proposals.append(proposal)
+            rows += [i] * len(own)
+            classes += own
         probs = np.array([img.gt.probs for img in images]).reshape(len(images), k)
-        proposals = [-1 if img.proposal is None else img.proposal for img in images]
-        rows = [i for i, img in enumerate(images) for _ in img.annotation_classes]
-        classes = [c for img in images for c in img.annotation_classes]
         self._fill(meta, index, probs, proposals, rows, classes)
         self._images = images
 
@@ -603,29 +610,6 @@ def _line_of(path: Path, header: list, i: int):
     """The line of row ``i`` of a table, found by reading it again; ``"?"``
     if the file no longer has that row."""
     return next(islice(_table(path, header), i, None), "?")[0]
-
-
-def two_proposal_records_from_log(entries, num_classes: int) -> list:
-    """Group log entries, ``(image_id, proposal, annotated)`` triples such as
-    :class:`LogEntry`, into two-round records, one per image.
-
-    Every image must appear with exactly two distinct proposals; the
-    round order follows first appearance in the log.
-    """
-    rounds = {}  # image id -> proposal -> annotated classes, in log order
-    for image_id, proposal, annotated in entries:
-        rounds.setdefault(image_id, {}).setdefault(proposal, []).append(annotated)
-    records = []
-    for image_id, by_proposal in rounds.items():
-        if len(by_proposal) != 2:
-            raise FormatError(
-                f"image {image_id!r} has {len(by_proposal)} distinct proposals "
-                f"in the log; the two-round protocol needs exactly 2"
-            )
-        (rho_a, a), (rho_b, b) = by_proposal.items()
-        tallies = (AnnotationSet.tally(c, num_classes) for c in (a, b))
-        records.append(TwoProposalRecord(image_id, rho_a, rho_b, *tallies))
-    return records
 
 
 @dataclass(frozen=True)

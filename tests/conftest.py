@@ -10,7 +10,6 @@ from annobias import (
     DatasetMeta,
     LabelDistribution,
     SimulationParams,
-    TwoProposalRecord,
     simulate_annotation,
     simulate_annotation_set,
     substream,
@@ -138,22 +137,24 @@ def banded_campaign(seed, delta, n_images=20, annotations_per_image=100):
 
 
 def two_proposal_dataset(seed, delta, n_records=200, k=6, repetitions=50):
-    """Two-round annotation records with proposals independent of the labels.
+    """Two-round annotation log rows with proposals independent of the labels.
 
-    Ground truths are mildly flattened random distributions; each record's
+    Ground truths are mildly flattened random distributions; each image's
     two distinct proposals are drawn uniformly, so proposal choice carries
-    no information about the true class.
+    no information about the true class.  Each image's first round comes
+    before its second, and each round lists its annotations in class order.
     """
     rng = substream(seed, "cal-two-k")
     params = SimulationParams(delta=delta, repetitions=repetitions)
-    records = []
+    entries = []
     for i in range(n_records):
         w = rng.random(k) + 0.3
         gt = LabelDistribution(w / w.sum())
         rho_a = min(int(rng.random() * k), k - 1)
         j = min(int(rng.random() * (k - 1)), k - 2)
         rho_b = j if j < rho_a else j + 1
-        ann_a = simulate_annotation_set(gt, rho_a, params, rng)
-        ann_b = simulate_annotation_set(gt, rho_b, params, rng)
-        records.append(TwoProposalRecord(f"img_{i}", rho_a, rho_b, ann_a, ann_b))
-    return records
+        for rho in (rho_a, rho_b):
+            tally = simulate_annotation_set(gt, rho, params, rng)
+            classes = np.repeat(np.arange(k), tally.counts).tolist()
+            entries += [LogEntry(f"img_{i}", rho, c) for c in classes]
+    return entries

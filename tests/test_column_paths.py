@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from annobias import (
+    AnnotationSet,
     DatasetMeta,
     LabelDistribution,
     Strategy,
@@ -79,15 +80,11 @@ def paths(tmp_path):
     matrix = TransitionMatrixFile.from_matrix(TransitionMatrix.identity(3))
     save_transition_matrix(matrix, tmp_path / "matrix.json")
 
-    meta, images, entries = DatasetMeta(tuple(f"c{i}" for i in range(6))), [], []
-    for rec in two_proposal_dataset(seed=0, delta=0.1, n_records=30):
-        gt = LabelDistribution(np.full(6, 1 / 6))
-        images.append(ImageRecord(rec.image_id, gt, (), None))
-        for rho, tally in zip(
-            (rec.proposal_a, rec.proposal_b), (rec.annotations_a, rec.annotations_b)
-        ):
-            classes = np.repeat(np.arange(6), tally.counts).tolist()
-            entries += [LogEntry(rec.image_id, rho, c) for c in classes]
+    meta = DatasetMeta(tuple(f"c{i}" for i in range(6)))
+    entries = two_proposal_dataset(seed=0, delta=0.1, n_records=30)
+    gt = LabelDistribution(np.full(6, 1 / 6))
+    ids = dict.fromkeys(e.image_id for e in entries)
+    images = [ImageRecord(image_id, gt, (), None) for image_id in ids]
     save_dataset(Dataset(meta, tuple(images)), tmp_path / "six")
     save_acceptance_log(entries, tmp_path / "two_rounds.csv", meta)
     (tmp_path / "meta_only").mkdir()
@@ -164,6 +161,24 @@ def test_log_commands_build_no_log_entries(command, paths, monkeypatch):
 
     monkeypatch.setattr(formats, "LogEntry", refuse)
     assert main(argv) == 0
+    assert (paths / "out").read_bytes() == want
+
+
+@pytest.mark.parametrize("command", list(_LOG_COMMANDS))
+def test_log_commands_build_no_annotation_set(command, paths, monkeypatch):
+    argv = _argv(_LOG_COMMANDS[command], paths)
+    assert main(argv) == 0
+    want = (paths / "out").read_bytes()
+    built = []
+    check = AnnotationSet.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(AnnotationSet, "__post_init__", counted)
+    assert main(argv) == 0
+    assert len(built) == 0
     assert (paths / "out").read_bytes() == want
 
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from annobias import (
+    CalibrationError,
     DatasetMeta,
     LabelDistribution,
     TransitionMatrix,
 )
+from annobias.calibration import two_proposal_candidates
 from annobias.harness.formats import (
     Dataset,
     FormatError,
@@ -25,7 +27,6 @@ from annobias.harness.formats import (
     save_acceptance_log,
     save_dataset,
     save_transition_matrix,
-    two_proposal_records_from_log,
 )
 
 from conftest import build_dataset
@@ -302,6 +303,13 @@ class TestDatasetErrors:
         with pytest.raises(FormatError, match="out of range"):
             Dataset(DatasetMeta(("a", "b")), (img,))
 
+    @pytest.mark.parametrize("classes, proposal", [((0.7, 1), 1), ((0, 1), 1.5)])
+    def test_dataset_rejects_non_integer_class_indices(self, classes, proposal):
+        # int64 casting once truncated them: proposals [1], counts[0] [1, 1]
+        img = ImageRecord("x", LabelDistribution([0.5, 0.5]), classes, proposal)
+        with pytest.raises(FormatError, match="image 'x': class indices must be"):
+            Dataset(DatasetMeta(("a", "b")), (img,))
+
 
 class TestAcceptanceLog:
     ENTRIES = [
@@ -355,37 +363,44 @@ class TestAcceptanceLog:
 
 class TestTwoProposalGrouping:
     def test_groups_by_first_appearance(self):
-        entries = [
-            LogEntry("img", 2, 1),
-            LogEntry("img", 0, 0),
-            LogEntry("img", 2, 2),
-            LogEntry("img", 0, 2),
-        ]
-        (rec,) = two_proposal_records_from_log(entries, 3)
-        assert (rec.proposal_a, rec.proposal_b) == (2, 0)
-        assert rec.annotations_a.counts.tolist() == [0, 1, 1]
-        assert rec.annotations_b.counts.tolist() == [1, 0, 1]
+        # rounds under proposals 2 and 0, interleaved, proposal 2 first; as
+        # rounds a then b they give the hand-computed 2.25/7 of
+        # tests/test_calibration.py with outside classes 1 and 3
+        a = [2] * 6 + [0] * 2 + [1, 3]
+        b = [2] * 2 + [0] * 5 + [1] * 2 + [3]
+        rows_a = [LogEntry("img", 2, c) for c in a]
+        rows_b = [LogEntry("img", 0, c) for c in b]
+        interleaved = [row for pair in zip(rows_a, rows_b) for row in pair]
+        (candidate,) = two_proposal_candidates(interleaved)
+        assert candidate == two_proposal_candidates(rows_a + rows_b)[0]
+        assert candidate == pytest.approx(2.25 / 7, rel=1e-12)
+        assert candidate != two_proposal_candidates(rows_b + rows_a)[0]
 
     def test_multiple_images(self):
         entries = [
+            LogEntry("y", 0, 0),
             LogEntry("x", 0, 0),
-            LogEntry("y", 1, 1),
             LogEntry("x", 1, 0),
-            LogEntry("y", 0, 1),
+            LogEntry("y", 1, 1),
+            LogEntry("y", 1, 1),
+            LogEntry("x", 1, 1),
+            LogEntry("x", 1, 1),
+            LogEntry("x", 1, 1),
         ]
-        recs = {r.image_id: r for r in two_proposal_records_from_log(entries, 2)}
-        assert recs["x"].proposal_a == 0
-        assert recs["y"].proposal_a == 1
+        # one candidate per image in order of first appearance: y's second
+        # round accepts 2 of 2, so its candidate is the first rate, 1.0;
+        # x's first round accepts 1 of 1, so its candidate is 3/4
+        assert two_proposal_candidates(entries) == [1.0, 0.75]
 
     def test_single_proposal_rejected(self):
         entries = [LogEntry("img", 0, 0), LogEntry("img", 0, 1)]
-        with pytest.raises(FormatError, match="has 1 distinct proposals"):
-            two_proposal_records_from_log(entries, 3)
+        with pytest.raises(CalibrationError, match="has 1 distinct proposals"):
+            two_proposal_candidates(entries)
 
     def test_three_proposals_rejected(self):
         entries = [LogEntry("img", 0, 0), LogEntry("img", 1, 1), LogEntry("img", 2, 2)]
-        with pytest.raises(FormatError, match="has 3 distinct proposals"):
-            two_proposal_records_from_log(entries, 3)
+        with pytest.raises(CalibrationError, match="has 3 distinct proposals"):
+            two_proposal_candidates(entries)
 
 
 class TestTransitionMatrixFile:

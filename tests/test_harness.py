@@ -494,13 +494,7 @@ class TestRunCalibration:
         assert report["n_in_band_images"] == 1
 
     def test_two_proposal_report(self, tmp_path):
-        records = two_proposal_dataset(seed=0, delta=0.1, n_records=50)
-        entries = []
-        for rec in records:
-            for cls, n in enumerate(rec.annotations_a.counts):
-                entries.extend([LogEntry(rec.image_id, rec.proposal_a, cls)] * int(n))
-            for cls, n in enumerate(rec.annotations_b.counts):
-                entries.extend([LogEntry(rec.image_id, rec.proposal_b, cls)] * int(n))
+        entries = two_proposal_dataset(seed=0, delta=0.1, n_records=50)
         meta = DatasetMeta(tuple(f"class_{i}" for i in range(6)))
         placeholder = ImageRecord(
             "unused", LabelDistribution(np.full(6, 1 / 6)), (), None
@@ -514,7 +508,7 @@ class TestRunCalibration:
         report = run_calibration(cfg, log_path, "two-proposal")
         assert report["method"] == "two-proposal"
         assert report["n_records"] == 50
-        assert report["estimate"] == estimate_delta_two_proposals(records)
+        assert report["estimate"] == estimate_delta_two_proposals(entries)
         assert report["n_survivors"] <= report["n_finite_candidates"] <= 50
         assert (
             report["candidate_min"]

@@ -67,13 +67,7 @@ def _write_inputs(root):
     save_dataset(Dataset(meta, images), root / "ds")
     save_acceptance_log(_interleaved(banded), root / "banded.csv", meta)
 
-    two_rounds = []
-    for rec in two_proposal_dataset(seed=0, delta=0.1, n_records=40, k=K):
-        for rho, tally in zip(
-            (rec.proposal_a, rec.proposal_b), (rec.annotations_a, rec.annotations_b)
-        ):
-            classes = np.repeat(np.arange(K), tally.counts).tolist()
-            two_rounds += [LogEntry(rec.image_id, rho, c) for c in classes]
+    two_rounds = two_proposal_dataset(seed=0, delta=0.1, n_records=40, k=K)
     save_acceptance_log(_interleaved(two_rounds), root / "two_rounds.csv", meta)
 
     rows = np.full((K, K), 0.1) + 0.6 * np.eye(K)
