@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LabelDistribution
+from .core import LabelDistribution, _exact_mean
 
 __all__ = [
     "STUDY_RESCALE",
@@ -141,7 +141,7 @@ def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
             f"estimate may be noisy",
             stacklevel=3,
         )
-    agg = statistics.mean(values) if aggregate == "mean" else statistics.median(values)
+    agg = _exact_mean(values) if aggregate == "mean" else statistics.median(values)
     est = min(max(agg, 0.0), 1.0) * rescale
     return min(max(est, 0.0), 1.0), inside, images
 
@@ -232,12 +232,12 @@ def _two_proposal_rows(ids, proposals, annotated, upper_bound) -> np.ndarray:
 def _median_below(candidates: list, threshold: float) -> tuple:
     """Median of the finite candidates below ``threshold``, and those survivors."""
     if not candidates:
-        raise CalibrationError("estimator degenerate: no records")
+        raise CalibrationError("estimator degenerate: no images")
     survivors = [c for c in candidates if np.isfinite(c) and c < threshold]
     if not survivors:
         raise CalibrationError(
             f"estimator degenerate: no finite candidates below {threshold} "
-            f"out of {len(candidates)} records"
+            f"out of {len(candidates)} images"
         )
     return float(statistics.median(survivors)), survivors
 

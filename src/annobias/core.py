@@ -43,10 +43,40 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# values whose int64 mantissas are summed at once: 2**10 * (2**53 - 1) < 2**63
+_MEAN_RUN = 1024
+
+
+def _exact_mean(values) -> float:
+    """Mean of a non-empty float sequence, bit-identical to ``statistics.mean``.
+
+    Each value is ``mantissa * 2**exponent`` with an integer mantissa below
+    2**53 (``np.frexp``); the mantissas are summed in int64 per exponent, in
+    runs of at most ``_MEAN_RUN``, the sums joined into one exact integer and
+    divided once, correctly rounded.  Like ``statistics.mean``, ``-0.0``
+    averages to ``0.0`` and non-finite values give their float sum over n.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    finite = np.isfinite(x)
+    if not finite.all():
+        return sum(x[~finite].tolist()) / x.size
+    mantissas, exponents = np.frexp(x)
+    order = np.argsort(exponents)
+    exponents = exponents[order].astype(np.int64) + 1073  # >= 0 for subnormals
+    mantissas = np.ldexp(mantissas[order], 53).astype(np.int64)
+    # a run starts where the exponent changes and every _MEAN_RUN values after
+    index = np.arange(x.size)
+    first = np.maximum.accumulate(np.where(np.diff(exponents, prepend=-1), index, 0))
+    starts = np.flatnonzero((index - first) % _MEAN_RUN == 0)
+    sums = np.add.reduceat(mantissas, starts).tolist()
+    total = sum(s << e for s, e in zip(sums, exponents[starts].tolist()))
+    return total / (x.size << (1073 + 53))
+
+
 def _int_counts(c, noun: str) -> np.ndarray:
     """Read-only int64 copy of the tally ``c``; ValueError unless whole and >= 0."""
     c = np.asarray(c)
-    if not np.issubdtype(c.dtype, np.integer):
+    if c.dtype.kind not in "ium":  # numpy's integer kinds, timedelta64 among them
         c = np.asarray(c, dtype=np.float64)
         if not np.array_equal(np.rint(c), c):
             raise ValueError(f"{noun} counts must be integers")

@@ -52,6 +52,7 @@ from .formats import (
     _log_rows,
     _read_json,
     _soft_labels,
+    _write_long_table,
     _write_table,
     load_dataset,
     load_transition_matrix,
@@ -75,19 +76,36 @@ RESULTS_NAME = "results.csv"
 AGGREGATES_NAME = "aggregates.csv"
 BUDGET_NAME = "budget.csv"
 MANIFEST_NAME = "manifest.json"
+_RESULTS_COLUMNS = ("image_id", "annotations", "variant", "metric", "value")
 
 # images repaired and scored together; bounds the temporaries
 _BLOCK_ROWS = 128
 
 
-@dataclass
+@dataclass(eq=False)
 class Report:
-    """In-memory experiment output: manifest plus long-format tables."""
+    """In-memory experiment output: manifest plus long-format tables.
+
+    The per-cell scores are kept as columns: ``scores[i, c]`` is image
+    ``ids[i]``'s score under the ``(annotations, variant, metric)`` key
+    ``keys[c]``.  :attr:`results` builds their long-format rows on demand.
+    """
 
     manifest: dict
-    results: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
     budget: list = field(default_factory=list)
+    ids: tuple = ()
+    keys: tuple = ()
+    scores: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+
+    @property
+    def results(self) -> list:
+        """One dict per (image, key) cell, image by image, with a float value."""
+        return [
+            dict(zip(_RESULTS_COLUMNS, (image_id, *key, value)))
+            for image_id, row in zip(self.ids, self.scores.tolist())
+            for key, value in zip(self.keys, row)
+        ]
 
 
 def _effective_sim_params(cfg: ExperimentConfig, meta) -> SimulationParams:
@@ -192,28 +210,16 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
         return Report(manifest)
 
     matrix = _resolve_transitions(cfg.transitions, cfg.seed, meta, probs)
-    values = _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, proposals)
-    results = [
-        {
-            "image_id": image_id,
-            "annotations": n,
-            "variant": variant,
-            "metric": metric,
-            "value": vals[i],
-        }
-        for i, image_id in enumerate(ids)
-        for (n, variant, metric), vals in values.items()
-    ]
-
+    keys, scores = _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, proposals)
     aggregates = [
         {
             "annotations": n,
             "variant": variant,
             "metric": metric,
             "aggregate": mode,
-            "value": aggregate_scores(vals, mode),
+            "value": aggregate_scores(values, mode),
         }
-        for (n, variant, metric), vals in values.items()
+        for (n, variant, metric), values in zip(keys, scores.T.tolist() if ids else ())
         for mode in ("median", "mean")
     ]
     budget_rows = [
@@ -227,15 +233,16 @@ def run_simulation_experiment(cfg: ExperimentConfig) -> Report:
         for speedup in cfg.speedups
         for n in cfg.annotations
     ]
-    return Report(manifest, results, aggregates, budget_rows)
+    return Report(manifest, aggregates, budget_rows, ids, keys, scores)
 
 
-def _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, given) -> dict:
-    """Scores of every (image, count) cell: ``(n, variant, metric) -> values``,
-    for the images ``ids`` with soft labels ``probs`` and proposals ``given``.
+def _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, given) -> tuple:
+    """Scores of every (image, count) cell: the ``(n, variant, metric)`` keys
+    and ``float64[N, keys]`` scores, for the images ``ids`` with soft labels
+    ``probs`` and proposals ``given``.
 
-    Keys are in the order a row-by-row loop meets them; each list is in
-    image order.  ``block`` draws each cell of a block of ``_BLOCK_ROWS``
+    Keys are in the order a row-by-row loop meets them; rows are in image
+    order.  ``block`` draws each cell of a block of ``_BLOCK_ROWS``
     images from its own stream, keyed (seed, "simulate", n, image id), then
     validates, repairs and scores each count's tallies as arrays.  A failing
     cell raises ``RuntimeError`` naming the first failing image.
@@ -244,9 +251,16 @@ def _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, given) -> dict:
     reads = strategy is not Strategy.LIKELY  # LIKELY draws no uniform
     stages = dict(use_bc=cfg.use_bc, use_cb=cfg.use_cb, cb_input=cfg.cb_input)
 
+    keys = tuple(
+        (n, variant, metric)
+        for n in cfg.annotations
+        for variant in ("raw", "repaired")
+        for metric in cfg.metrics
+    )
+
     def block(i, j):
         gts = [LabelDistribution(p) for p in probs[i:j]]
-        scores = {}
+        columns = []
         for n in cfg.annotations:
             params = replace(sim, repetitions=n)
             counts = np.array([
@@ -258,16 +272,14 @@ def _score_cells(cfg, strategy, sim, corr, matrix, ids, probs, given) -> dict:
             ])
             raw = _validated_rows(counts / n)
             repaired = repair_labels(counts, proposals[i:j], matrix, corr, **stages)
-            for variant, dist in (("raw", raw), ("repaired", repaired)):
-                for metric in cfg.metrics:
-                    scores[n, variant, metric] = _METRIC_ROWS[metric](probs[i:j], dist)
-        return scores
+            for dist in (raw, repaired):
+                columns += [_METRIC_ROWS[m](probs[i:j], dist) for m in cfg.metrics]
+        return np.column_stack(columns)
 
-    parts = {}
-    for _, _, scores in _by_block(block, ids):
-        for key, values in scores.items():
-            parts.setdefault(key, []).append(values)
-    return {key: np.concatenate(values).tolist() for key, values in parts.items()}
+    scores = np.empty((len(ids), len(keys)))
+    for lo, hi, values in _by_block(block, ids):
+        scores[lo:hi] = values
+    return keys, scores
 
 
 def run_strategy_comparison(
@@ -452,8 +464,12 @@ def emit_report(report: Report, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     written = [out / MANIFEST_NAME]
     _dump_json(report.manifest, written[0])
-    tables = (report.results, report.aggregates, report.budget)
-    for name, rows in zip((RESULTS_NAME, AGGREGATES_NAME, BUDGET_NAME), tables):
+    if report.scores.size:
+        path = out / RESULTS_NAME
+        _write_long_table(path, _RESULTS_COLUMNS, report.ids, report.keys, report.scores)
+        written.append(path)
+    tables = {AGGREGATES_NAME: report.aggregates, BUDGET_NAME: report.budget}
+    for name, rows in tables.items():
         if rows:
             columns = tuple(rows[0])  # each row lists its table's columns in order
             _write_table(out / name, columns, map(itemgetter(*columns), rows))

@@ -180,15 +180,40 @@ def _table(path: Path, header: list, optional: Optional[str] = None):
 
 def _float_texts(values):
     """Each row of ``float64[N, K]`` ``values`` as the ``repr`` of its cells,
-    taken once per distinct bit pattern (``0.0`` and ``-0.0`` differ) in each
-    chunk of at most ``_CHUNK_CELLS`` cells or one row."""
+    taken once per distinct bit pattern (``0.0`` and ``-0.0`` differ).
+
+    Cells are formatted in chunks of at most ``_CHUNK_CELLS`` cells or one
+    row; the texts of earlier chunks are reused while they number at most
+    ``_CHUNK_CELLS``, and dropped once they would number more."""
     step = max(1, _CHUNK_CELLS // max(values.shape[1], 1))
+    known, memo = np.empty(0, np.uint64), np.empty(0, object)  # sorted patterns
     for lo in range(0, len(values), step):
         chunk = values[lo : lo + step]
         # a 1-D input gives a 1-D inverse on every numpy version
         bits, inverse = np.unique(chunk.view(np.uint64).ravel(), return_inverse=True)
-        texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        at = np.searchsorted(known, bits)
+        held = at < known.size
+        held[held] = known[at[held]] == bits[held]
+        texts = np.empty(bits.size, object)
+        texts[held] = memo[at[held]]
+        fresh = np.flatnonzero(~held)
+        grow = known.size + fresh.size <= _CHUNK_CELLS
+        if not grow:  # the earlier texts go before this chunk's are made
+            known, memo = bits, texts
+        reprs = map(repr, bits[fresh].view(np.float64).tolist())
+        texts[fresh] = np.array(list(reprs), dtype=object)
+        if grow:
+            known = np.insert(known, at[fresh], bits[fresh])
+            memo = np.insert(memo, at[fresh], texts[fresh])
         yield from texts[inverse].reshape(chunk.shape).tolist()
+
+
+def _field(text: str) -> str:
+    """``text`` as one CSV field: quoted, each ``"`` doubled, when it holds
+    ``,``, ``"``, ``\\r`` or ``\\n``."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _csv_line(fields: Sequence) -> str:
@@ -199,11 +224,15 @@ def _csv_line(fields: Sequence) -> str:
         line = ",".join(fields)
     # some field holds a quote, a line break or a comma of its own
     if '"' in line or "\r" in line or "\n" in line or line.count(",") >= len(fields):
-        line = ",".join(
-            '"' + f.replace('"', '""') + '"' if any(c in f for c in ',"\r\n') else f
-            for f in fields
-        )
+        line = ",".join(map(_field, fields))
     return line + "\n" if line or len(fields) != 1 else '""\n'
+
+
+def _write_lines(path, lines: list) -> None:
+    # the lines are formatted before the file is opened, so a row that
+    # fails leaves no file; they are written one by one, never joined
+    with open(path, "w", encoding="utf-8", newline="") as f:
+        f.writelines(lines)
 
 
 def _write_table(path, header: Sequence, rows) -> None:
@@ -213,11 +242,21 @@ def _write_table(path, header: Sequence, rows) -> None:
     A field holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted, each ``"``
     doubled, and a lone empty field is ``""``: every field reads back as is.
     """
-    # every row is formatted before the file is opened, so a row that
-    # fails leaves no file; the rows are written one by one, never joined
-    lines = [_csv_line(header), *map(_csv_line, rows)]
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.writelines(lines)
+    _write_lines(path, [_csv_line(header), *map(_csv_line, rows)])
+
+
+def _write_long_table(path, header: Sequence, ids, keys, values) -> None:
+    """Write ``float64[N, K]`` ``values`` as :func:`_write_table` would write
+    the rows ``(ids[i], *keys[k], values[i, k])``, in row-major order.
+
+    Each id and each key is quoted once, the values are formatted by
+    :func:`_float_texts`, and each id's lines are joined into one string."""
+    tails = [",".join(["", *(_field(str(f)) for f in key), ""]) for key in keys]
+    lines = [_csv_line(header)]
+    for image_id, texts in zip(ids, _float_texts(values)):
+        head = _field(image_id)
+        lines.append("".join([f"{head}{t}{v}\n" for t, v in zip(tails, texts)]))
+    _write_lines(path, lines)
 
 
 def _checked_id(image_id: str) -> str:

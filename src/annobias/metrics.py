@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibration import _EDGE_TOL, AcceptanceRecord, _interval_index
-from .core import LabelDistribution, _check_unit, _int_counts
+from .core import LabelDistribution, _check_unit, _exact_mean, _int_counts
 from .rng import uniforms
 from .simulation import (
     _MAX_UNIFORMS_PER_DRAW,
@@ -298,19 +298,19 @@ def _compare(ids, groups, strategies, p, repetitions, seed) -> list:
             sod(m_real, BinMatrix(c.reshape(NUM_BINS, NUM_BINS)), normalized=True)
             for c in counts
         ]
-        mean = statistics.mean(sods)
-        std = math.sqrt(statistics.mean((s - mean) ** 2 for s in sods))
-        out.append(StrategyComparison(strategy, tuple(sods), float(mean), float(std)))
+        mean = _exact_mean(sods)
+        std = math.sqrt(_exact_mean([(s - mean) ** 2 for s in sods]))
+        out.append(StrategyComparison(strategy, tuple(sods), mean, std))
     return out
 
 
 def aggregate_scores(values: Sequence[float], mode: str = "median") -> float:
-    """Median (midpoint rule for even length) or mean of scores."""
+    """Median (midpoint rule for even length) or exact mean of scores."""
     values = list(values)
     if not values:
         raise ValueError("cannot aggregate zero scores")
     if mode == "median":
         return float(statistics.median(values))
     if mode == "mean":
-        return float(statistics.mean(values))
+        return _exact_mean(values)
     raise ValueError(f"mode must be 'median' or 'mean', got {mode!r}")

@@ -1,5 +1,8 @@
 """Core distribution/count types: validation, normalization, sampling."""
 
+import math
+import statistics
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -323,3 +326,66 @@ def test_sampled_classes_always_in_range(v):
         k = sample_class(d, rng)
         assert 0 <= k < d.num_classes
         assert d.probs[k] > 0.0
+
+
+def _same_float(got: float, want: float) -> bool:
+    """Equal bits, any NaN matching any NaN."""
+    return got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
+
+
+@st.composite
+def _score_like_samples(draw):
+    """1-3 000 floats from one of the laws a mean meets, or subnormals."""
+    n = draw(st.integers(1, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    law = draw(st.sampled_from(["uniform", "normal", "lognormal", "cauchy", "subnormal"]))
+    if law == "uniform":
+        values = rng.random(n)
+    elif law == "normal":  # scales across 600 decades
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    elif law == "lognormal":
+        values = rng.lognormal(0.0, 5.0, n)
+    elif law == "cauchy":
+        values = rng.standard_cauchy(n)
+    else:
+        values = rng.integers(-(2**52), 2**52, n) * 5e-324
+    return values.tolist()
+
+
+class TestExactMean:
+    """``core._exact_mean`` against ``statistics.mean``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_score_like_samples())
+    def test_equals_statistics_mean_on_sampled_laws(self, values):
+        assert core._exact_mean(values).hex() == statistics.mean(values).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+    def test_equals_statistics_mean_on_any_finite_floats(self, values):
+        assert core._exact_mean(values).hex() == statistics.mean(values).hex()
+
+    def test_takes_an_array(self):
+        values = np.random.default_rng(2).standard_cauchy(5000)
+        want = statistics.mean(values.tolist())
+        assert core._exact_mean(values).hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([-0.0], 0.0),
+            ([-0.0, -0.0, 0.0], 0.0),
+            ([5e-324] * 3, 5e-324),
+            ([5e-324, 0.0], 0.0),  # half the least subnormal rounds to even
+            ([5e-324, 5e-324, 0.0], 5e-324),
+            ([math.inf, 1.0], math.inf),
+            ([-math.inf, 2.0], -math.inf),
+            ([math.inf, -math.inf], math.nan),
+            ([math.nan, 1.0], math.nan),
+            ([1.0, math.inf, math.nan], math.nan),
+        ],
+    )
+    def test_edge_values_follow_statistics_mean(self, values, want):
+        got = core._exact_mean(values)
+        assert _same_float(got, want)
+        assert _same_float(got, statistics.mean(values))

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tracemalloc
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annobias import DatasetMeta, LabelDistribution
+from annobias.harness import formats
 from annobias.harness.cli import main
 from annobias.harness.config import ConfigError, ExperimentConfig
 from annobias.harness.experiments import run_from_manifest, run_label_correction
@@ -157,6 +159,19 @@ FLOAT_TABLES = {
 @pytest.mark.parametrize("values", FLOAT_TABLES.values(), ids=FLOAT_TABLES.keys())
 def test_float_texts_equal_repr_of_every_cell(values):
     assert list(_float_texts(values)) == [list(map(repr, r)) for r in values.tolist()]
+
+
+def test_float_texts_format_a_value_once_across_chunks(monkeypatch):
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return repr(value)
+
+    monkeypatch.setattr(formats, "repr", counted, raising=False)
+    values = _pooled((30_000, 7))  # four chunks drawing on one pool of 50
+    assert list(_float_texts(values)) == [list(map(repr, r)) for r in values.tolist()]
+    assert len(calls) == len(np.unique(values)) == 50
 
 
 def _write_excess(tmp_path, n):
@@ -351,3 +366,39 @@ def test_over_long_path_is_a_config_error(dataset_dir, tmp_path, key):
     path.write_text(json.dumps({"config": config}), encoding="utf-8")
     with pytest.raises(ConfigError, match=f"{key} .*not found"):
         run_from_manifest(path)
+
+
+# ids the results writer quotes: a comma, a quote, a bare CR and a CRLF
+RESULT_IDS = ("a,b", 'q"x', "x\ry", "x\r\ny")
+
+
+@pytest.mark.parametrize("annotations", ["3", "2,5"])
+@pytest.mark.parametrize("chunk_cells", [formats._CHUNK_CELLS, 40])
+def test_results_csv_matches_the_row_dict_writer(
+    tmp_path, monkeypatch, annotations, chunk_cells
+):
+    monkeypatch.setattr(formats, "_CHUNK_CELLS", chunk_cells)
+    ids = [f"img{i}" for i in range(300)]  # three blocks of 128 images
+    for at, image_id in zip((0, 127, 128, 299), RESULT_IDS):
+        ids[at] = image_id
+    gts = np.random.default_rng(4).dirichlet(np.ones(3), len(ids))
+    images = tuple(
+        ImageRecord(i, LabelDistribution(gt), (), None) for i, gt in zip(ids, gts)
+    )
+    save_dataset(Dataset(DatasetMeta(("a", "b", "c")), images), tmp_path / "ds")
+    matrix = tmp_path / "identity.json"
+    save_transition_matrix(TransitionMatrixFile(tuple(map(tuple, np.eye(3)))), matrix)
+    out = tmp_path / "out"
+    argv = ["simulate", "--dataset", str(tmp_path / "ds"), "--transitions", str(matrix)]
+    argv += ["--seed", "7", "--annotations", annotations, "--metrics", "kl,l1"]
+    assert main([*argv, "--out", str(out)]) == 0
+
+    # the row-dict writer: one dict per (image, key) cell through _write_table
+    rows = run_from_manifest(out / "manifest.json").results
+    columns = tuple(rows[0])
+    _write_table(tmp_path / "want.csv", columns, map(itemgetter(*columns), rows))
+    assert (out / "results.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    header, got = _table(out / "results.csv")
+    assert header == list(columns)
+    assert len(got) == len(ids) * 2 * 2 * len(annotations.split(","))
+    assert [row[0] for row in got[:: len(got) // len(ids)]] == ids
