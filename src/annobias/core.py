@@ -39,7 +39,7 @@ class DegenerateDistributionError(ValueError):
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 
@@ -81,7 +81,7 @@ def _int_counts(c, noun: str) -> np.ndarray:
         if not np.array_equal(np.rint(c), c):
             raise ValueError(f"{noun} counts must be integers")
     c = c.astype(np.int64)
-    if (c < 0).any():
+    if np.count_nonzero(c < 0):
         raise ValueError(f"negative {noun} count")
     return _readonly(c)
 
@@ -149,9 +149,9 @@ def _validated_rows(p: np.ndarray) -> np.ndarray:
     off = np.abs(totals - 1.0)
     # comparisons with NaN are false, so non-finite rows fail here too
     in_range = (p >= -1e-12) & (p <= 1.0 + 1e-12)
-    bad = ~(in_range.all(axis=1) & (off <= RENORMALIZE_TOL))
-    if bad.any():
-        i = int(bad.argmax())
+    good = in_range.all(axis=1) & (off <= RENORMALIZE_TOL)
+    if np.count_nonzero(good) < good.size:
+        i = int(good.argmin())
         if not np.isfinite(p[i]).all():
             raise DegenerateDistributionError("non-finite probability entry")
         if not in_range[i].all():
@@ -160,7 +160,7 @@ def _validated_rows(p: np.ndarray) -> np.ndarray:
             f"probabilities sum to {float(totals[i])!r}, not normalizable"
         )
     rescale = off > SUM_TOL
-    if rescale.any():
+    if np.count_nonzero(rescale):
         p[rescale] /= totals[rescale, None]
     return p.clip(0.0, 1.0, out=p)
 
@@ -176,9 +176,10 @@ class AnnotationSet:
     counts: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.counts) != 1 or np.size(self.counts) < 2:
+        c = np.asarray(self.counts)
+        if c.ndim != 1 or c.size < 2:
             raise ValueError("counts must be a 1-d vector over >= 2 classes")
-        object.__setattr__(self, "counts", _int_counts(self.counts, "annotation"))
+        object.__setattr__(self, "counts", _int_counts(c, "annotation"))
 
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "AnnotationSet":
@@ -345,7 +346,7 @@ def _check_proposals(num_classes: int, proposals) -> np.ndarray:
     if proposals.size and proposals.dtype.kind not in "iu":
         raise TypeError(f"proposals must be integers, not {proposals.dtype}")
     bad = (proposals < 0) | (proposals >= num_classes)
-    if bad.any():
+    if np.count_nonzero(bad):
         _check_proposal(num_classes, proposals[np.argmax(bad)])
     return proposals.astype(np.int64, copy=False)
 
@@ -361,7 +362,7 @@ def _draw_class(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     idx = (probs.cumsum(axis=1) <= u[:, None]).sum(axis=1)
     k = probs.shape[1]
     overflow = idx >= k
-    if not overflow.any():
+    if not np.count_nonzero(overflow):
         return idx
     # float-dust guard: cumulative sum can fall a hair short of 1; the
     # draw then takes the last class with mass (the last class if none)

@@ -94,7 +94,7 @@ def _invert(
     out[live] = weights[live] / rest[live, None] * (1.0 - b[live, None])
     out[np.arange(proposals.size), proposals] = b
     total = out.sum(axis=1)
-    if (total <= 0.0).any():
+    if np.count_nonzero(total <= 0.0):
         # unreachable for valid params (b = 0 forces non-proposal mass > 0)
         raise ValueError("corrected distribution lost all mass")
     return _validated_rows(out / total[:, None])
@@ -194,7 +194,7 @@ def repair_labels(
     counts = np.asarray(a)
     proposals = _check_proposals(counts.shape[1], proposal)
     totals = counts.sum(axis=1)
-    if (totals < 1).any():
+    if np.count_nonzero(totals < 1):
         raise ValueError("need at least one annotation")
     if use_bc and cb_input == "corrected":
         d = _correct_counts(counts, proposals, p)

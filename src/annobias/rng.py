@@ -73,8 +73,14 @@ def substream(seed: int, *keys) -> np.random.Generator:
     words = [int(seed) & _MASK64]
     for key in keys:
         words.extend(key_words(key))
-    entropy, _ = _entropy_words(words)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    # the split of _entropy_words, without its array temporaries
+    entropy = []
+    for word in words:
+        entropy.append(word & _MASK32)
+        if word > _MASK32:
+            entropy.append(word >> 32)
+    seeds = np.random.SeedSequence(np.array(entropy, dtype=np.uint32))
+    return np.random.Generator(np.random.PCG64(seeds))
 
 
 def uniforms(seed: int, columns, m: int) -> np.ndarray:
@@ -162,7 +168,8 @@ def _entropy_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _entropy_words(words):
     """numpy's uint32 entropy words for 64-bit ``words``, and how many per word:
     a word below 2**32 (0 included) is one uint32, a larger one its low then
-    high half, as ``SeedSequence`` splits a list of ints."""
+    high half, as ``SeedSequence`` splits a list of ints.  ``substream`` makes
+    the same split in a scalar loop; an edit to one must change both."""
     # a little-endian uint64 viewed as two uint32 is (low, high)
     halves = np.array(words, dtype="<u8").view("<u4").reshape(-1, 2)
     keep = halves != 0

@@ -142,9 +142,9 @@ def _rejected_class(probs: np.ndarray, proposal: np.ndarray, fallback: str, r):
     # entries at or below the target in a nondecreasing cumsum: searchsorted
     # "right", so the class found has mass and is never the proposal
     idx = (masked.cumsum(axis=1) <= (r * remainder)[:, None]).sum(axis=1)
-    idx = np.where(remainder > 0.0, idx, k)
+    idx[remainder <= 0.0] = k
     overflow = idx >= k
-    if not overflow.any():
+    if not np.count_nonzero(overflow):
         return idx
     if fallback == "first":
         spare = (proposal == 0).astype(np.int64)
@@ -243,7 +243,7 @@ def _simulate_counts(
     """
     classes = _draw_classes(strategy, probs, proposals, n, p, source)
     rows, k = classes.shape[0], np.shape(probs)[1]
-    offsets = k * np.arange(rows)[:, None]
+    offsets = np.arange(0, rows * k, k)[:, None]
     return np.bincount((classes + offsets).ravel(), minlength=rows * k).reshape(rows, k)
 
 
@@ -278,7 +278,7 @@ def _draw_classes(strategy, probs, proposals, n, p, source) -> np.ndarray:
         other = _most_likely_remaining(probs, proposals)
         return np.where(rejected, other[:, None], proposals[:, None])
     classes = proposals[:, None].repeat(n, axis=1)
-    if rejected.any():
+    if np.count_nonzero(rejected):
         who = rejected.nonzero()[0]
         r = take(rejected.sum(axis=1))
         classes[rejected] = _rejected_class(
@@ -317,7 +317,7 @@ def _two_stage(strategy, probs, proposals, n, p, take) -> np.ndarray:
             final[:, j] = last
             r[last, j] = take(last)
     classes = np.where(took, likely[:, None], proposals[:, None])
-    if final.any():
+    if np.count_nonzero(final):
         who = final.nonzero()[0]
         if strategy is Strategy.TWO_ACCEPT_RANDOM:
             classes[final] = _other_class(k, proposals[who], r[final])
