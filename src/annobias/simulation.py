@@ -76,10 +76,10 @@ class SimulationParams:
     ``delta`` is the offset: the probability of accepting a proposal with no
     ground-truth support.  ``upper_bound`` caps acceptance below 1.
     ``repetitions`` is how many annotations to draw per image.
-    ``reject_fallback`` decides the annotated class when a rejection occurs
-    but the ground truth leaves no mass outside the proposal: ``"first"``
-    picks the first non-proposal class, ``"random"`` picks uniformly among
-    the non-proposal classes.
+    ``reject_fallback`` decides the annotated class when, and only when, a
+    rejection occurs and no class but the proposal has ground-truth mass:
+    ``"first"`` picks the first non-proposal class, ``"random"`` picks
+    uniformly among the non-proposal classes.
     """
 
     delta: float
@@ -127,30 +127,25 @@ def _rejected_class(probs: np.ndarray, proposal: np.ndarray, fallback: str, r):
     """Class of a rejected proposal, per row of ``probs[R, K]``.
 
     Row ``i`` proposed ``proposal[i]`` and reads the uniform ``r[i]``.
-    Walks the cumulative ground-truth mass of the non-proposal classes and
-    returns the first class whose cumulative mass exceeds ``r`` times the
-    total non-proposal mass.  When that mass is zero (or the walk runs off
-    the end) the ``fallback`` policy decides: ``"first"`` is the first
+    The class is :func:`core._draw_class` of the row with the proposal's
+    mass zeroed, at ``r`` times ``1 - probs[proposal]``, so it has mass and
+    is never the proposal.  Only a row where no class but the proposal has
+    mass goes to the ``fallback`` policy: ``"first"`` is the first
     non-proposal class, ``"random"`` reuses ``r`` for a uniform pick among
     the non-proposal classes.
     """
-    k = probs.shape[1]
     at = (np.arange(proposal.size), proposal)
-    remainder = 1.0 - probs[at]
     masked = probs.copy()
     masked[at] = 0.0
-    # entries at or below the target in a nondecreasing cumsum: searchsorted
-    # "right", so the class found has mass and is never the proposal
-    idx = (masked.cumsum(axis=1) <= (r * remainder)[:, None]).sum(axis=1)
-    idx[remainder <= 0.0] = k
-    overflow = idx >= k
-    if not np.count_nonzero(overflow):
+    idx = _draw_class(masked, r * (1.0 - probs[at]))
+    empty = ~masked.any(axis=1)
+    if not np.count_nonzero(empty):
         return idx
     if fallback == "first":
         spare = (proposal == 0).astype(np.int64)
     else:
-        spare = _other_class(k, proposal, r)
-    return np.where(overflow, spare, idx)
+        spare = _other_class(probs.shape[1], proposal, r)
+    return np.where(empty, spare, idx)
 
 
 def simulate_annotation(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annobias import (
@@ -348,6 +348,11 @@ def test_simulated_classes_always_valid(weights, idx, delta, seed):
     assert np.all(a.counts >= 0)
 
 
+# the two largest doubles below 1
+_BELOW_ONE = float(np.nextafter(1.0, 0.0))
+_NEXT_BELOW_ONE = float(np.nextafter(_BELOW_ONE, 0.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(
@@ -361,15 +366,18 @@ def test_simulated_classes_always_valid(weights, idx, delta, seed):
     st.lists(
         st.one_of(
             st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
-            st.just(float(np.nextafter(1.0, 0.0))),
+            st.sampled_from([_BELOW_ONE, _NEXT_BELOW_ONE]),
         ),
         min_size=1,
         max_size=8,
     ),
 )
+# r within rounding of 1 walks off the end while mass remains
+@example([0.0, 0.3, 0.7], 2, "first", "as_drawn", [_BELOW_ONE])
 def test_rejection_law_scalar_matches_array(weights, idx, fallback, shape, rs):
     """One rejection law: a row gets the same class alone, as a one-row
-    batch, and among other rows.
+    batch, and among other rows, and that class has mass whenever any
+    class other than the proposal has.
 
     ``certain`` puts all mass on the proposal (the fallback case);
     ``short`` leaves the masses summing a hair under 1, as stored
@@ -399,19 +407,39 @@ def test_rejection_law_scalar_matches_array(weights, idx, fallback, shape, rs):
         single = _rejected_class(rows[:1], np.array([proposal]), fallback, np.array([ri]))
         assert single.tolist() == [cls]
         assert 0 <= int(cls) < k and int(cls) != proposal
+        if np.delete(probs, proposal).any():
+            assert probs[cls] > 0.0, (probs.tolist(), ri, int(cls))
 
 
-@pytest.mark.parametrize("fallback, expected", [("first", 0), ("random", 2)])
-def test_rejection_law_falls_back_when_walk_overflows(fallback, expected):
+@pytest.mark.parametrize("fallback", ["first", "random"])
+def test_rejection_walk_overflow_takes_the_last_class_with_mass(fallback):
     # 1 - p[proposal] exceeds the stored non-proposal mass, so a uniform
-    # near 1 walks past the last class and the fallback decides.
-    probs = np.array([0.2, 0.5, 0.3]) * (1.0 - 1e-10)
-    r = float(np.nextafter(1.0, 0.0))
-    single = _rejected_class(probs[None], np.array([1]), fallback, np.array([r]))
-    assert single.tolist() == [expected]
-    rows = np.array([probs, probs])
-    batch = _rejected_class(rows, np.array([1, 1]), fallback, np.array([0.1, r]))
-    np.testing.assert_array_equal(batch, [0, expected])
+    # near 1 walks past the last class with mass; it stays there, as
+    # _draw_class's float-dust guard does, and the fallback is not asked.
+    probs = np.array([0.2, 0.5, 0.3, 0.0]) * (1.0 - 1e-10)
+    rows = np.array([probs, probs, probs])
+    single = _rejected_class(rows[:1], np.array([1]), fallback, np.array([_BELOW_ONE]))
+    assert single.tolist() == [2]
+    r = np.array([0.1, _BELOW_ONE, _BELOW_ONE])
+    batch = _rejected_class(rows, np.array([1, 1, 2]), fallback, r)
+    np.testing.assert_array_equal(batch, [0, 2, 1])
+
+
+@pytest.mark.parametrize(
+    "fallback, expected", [("first", [0, 1, 1, 2]), ("random", [0, 2, 1, 2])]
+)
+def test_rejection_fallback_decides_only_rows_without_other_mass(fallback, expected):
+    rows = np.array(
+        [
+            [0.0, 1.0, 0.0],  # all mass on the proposal
+            [1.0 - 1e-10, 0.0, 0.0],  # 1 - p[proposal] > 0, yet no other mass
+            [1.0, 1e-13, 0.0],  # 1 - p[proposal] rounds to 0, with other mass
+            [0.5, 0.2, 0.3],
+        ]
+    )
+    r = np.array([0.25, 0.75, 0.75, 0.9])
+    got = _rejected_class(rows, np.array([1, 0, 0, 0]), fallback, r)
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_rejection_at_uniform_zero_skips_classes_without_mass():
