@@ -76,7 +76,7 @@ def delta_from_acceptance(
 ) -> float:
     """Invert the acceptance law for the offset: (A - ub*p) / (1 - p).
 
-    Unclamped — callers clamp or aggregate.  Undefined at ``p_gt == 1``
+    Unclamped — callers clamp or average.  Undefined at ``p_gt == 1``
     where every acceptance law yields the same rate.  Elementwise when
     ``a`` and ``p_gt`` are arrays.
     """
@@ -96,14 +96,13 @@ def estimate_delta_banded(
     band: tuple = (0.2, 0.4),
     n_target: int = 20,
     rescale: float = 1.0,
-    aggregate: str = "mean",
     upper_bound: float = 0.99,
 ) -> float:
     """Offset estimate from records whose proposal mass lies in a band.
 
     Each in-band record contributes one inverted-law value (its acceptance
-    indicator against its proposal mass); the values are aggregated,
-    clamped to [0, 1], rescaled, and clamped again.  ``rescale`` defaults
+    indicator against its proposal mass); their exact mean is clamped to
+    [0, 1], rescaled, and clamped again.  ``rescale`` defaults
     to 1.0 (unbiased records); pass :data:`STUDY_RESCALE` for records from
     annotators who knew the ground truth.
     Fewer than ``n_target`` distinct in-band images triggers a warning,
@@ -111,19 +110,19 @@ def estimate_delta_banded(
     """
     masses = np.array([r.gt.probs[r.proposal] for r in records], dtype=np.float64)
     accepted = np.array([r.accepted for r in records], dtype=bool)
-    args = band, n_target, rescale, aggregate, upper_bound
+    args = band, n_target, rescale, upper_bound
     return _fit_banded(masses, accepted, [r.image_id for r in records], *args)[0]
 
 
-def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
+def _fit_banded(masses, accepted, keys, band, n_target, rescale, ub):
     """:func:`estimate_delta_banded` of the records with proposal ``masses``,
     ``accepted`` flags and image ``keys``, and the in-band rows and set of
     keys it used."""
+    if len(band) != 2:
+        raise ValueError(f"invalid band {band!r}: needs exactly two values")
     lo, hi = float(band[0]), float(band[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError(f"invalid band {band!r}")
-    if aggregate not in ("mean", "median"):
-        raise ValueError(f"aggregate must be 'mean' or 'median', got {aggregate!r}")
     if not 0.0 <= rescale < np.inf:
         raise ValueError("rescale must be a finite number >= 0")
 
@@ -141,8 +140,7 @@ def _fit_banded(masses, accepted, keys, band, n_target, rescale, aggregate, ub):
             f"estimate may be noisy",
             stacklevel=3,
         )
-    agg = _exact_mean(values) if aggregate == "mean" else statistics.median(values)
-    est = min(max(agg, 0.0), 1.0) * rescale
+    est = min(max(_exact_mean(values), 0.0), 1.0) * rescale
     return min(max(est, 0.0), 1.0), inside, images
 
 

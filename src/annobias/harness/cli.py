@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="records come from annotators who knew the ground truth",
     )
-    cal.add_argument("--aggregate", choices=["mean", "median"], default="mean")
     cal.add_argument(
         "--threshold", type=float, default=0.8, help="two-proposal cutoff"
     )
@@ -254,12 +253,12 @@ def _cmd_calibrate(args) -> int:
         band=(args.band[0], args.band[1]),
         n_target=args.n_target,
         rescale=rescale,
-        aggregate=args.aggregate,
         threshold=args.threshold,
     )
     print(f"method: {result['method']}")
     print(f"estimate: {result['estimate']}")
-    print(f"records: {result['n_records']}")
+    count = "n_images" if args.method == "two-proposal" else "n_records"
+    print(f"{count[2:]}: {result[count]}")
     if args.out:
         _dump_json(result, args.out)
         print(args.out)

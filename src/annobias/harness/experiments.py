@@ -313,7 +313,6 @@ def run_calibration(
     band: tuple = (0.2, 0.4),
     n_target: int = 20,
     rescale: float = 1.0,
-    aggregate: str = "mean",
     threshold: float = 0.8,
 ) -> dict:
     """Estimate the acceptance offset from a logged annotation campaign.
@@ -322,7 +321,8 @@ def run_calibration(
     ``annotations.csv`` only when there is no ``gt.csv``) or
     ``"two-proposal"`` (needs each image annotated under two proposals, and
     of the dataset only its ``meta.json``).  Returns a report dict with the
-    estimate and the record counts that went into it.
+    estimate and the counts that went into it: log rows (``n_records``) for
+    banded, images (``n_images``) for two-proposal.
     """
     if method == "banded":
         meta, index, probs, _ = _soft_labels(cfg.dataset)
@@ -340,7 +340,7 @@ def run_calibration(
         masses = probs[rows, proposals]
         occupancy = np.bincount(_bins(masses), minlength=NUM_BINS).tolist()
         occupancy_by_bin = {f"bin_{b}": n for b, n in enumerate(occupancy)}
-        args = band, n_target, rescale, aggregate, sim.upper_bound
+        args = band, n_target, rescale, sim.upper_bound
         try:
             estimate, inside, images = _fit_banded(
                 masses, proposals == annotated, rows, *args
@@ -354,7 +354,7 @@ def run_calibration(
             "estimate": estimate,
             "band": [float(band[0]), float(band[1])],
             "rescale": rescale,
-            "aggregate": aggregate,
+            "aggregate": "mean",
             "upper_bound": sim.upper_bound,
             "n_records": len(ids),
             "n_in_band_records": inside.size,
@@ -371,7 +371,7 @@ def run_calibration(
         "estimate": estimate,
         "threshold": threshold,
         "upper_bound": sim.upper_bound,
-        "n_records": len(raw),
+        "n_images": len(raw),
         "n_finite_candidates": int(np.isfinite(raw).sum()),
         "n_survivors": len(survivors),
         "candidate_min": float(min(survivors)),

@@ -146,14 +146,11 @@ class TestEstimateDeltaBanded:
         assert scaled == pytest.approx(1.3 * base, abs=1e-12)
         assert estimate_delta_banded(records, n_target=1, rescale=10.0) == 1.0
 
-    @pytest.mark.parametrize("aggregate", ["mean", "median"])
     @pytest.mark.parametrize("rescale", [math.nan, math.inf, -0.5])
-    def test_rescale_must_be_finite_and_non_negative(self, rescale, aggregate):
+    def test_rescale_must_be_finite_and_non_negative(self, rescale):
         records = [AcceptanceRecord(f"i{j}", 0, j % 2, GT3) for j in range(10)]
         with pytest.raises(ValueError, match="rescale must be a finite number"):
-            estimate_delta_banded(
-                records, n_target=1, rescale=rescale, aggregate=aggregate
-            )
+            estimate_delta_banded(records, n_target=1, rescale=rescale)
 
     def test_rescale_defaults_to_neutral(self):
         records = [
@@ -164,27 +161,21 @@ class TestEstimateDeltaBanded:
             records, n_target=1, rescale=1.0
         )
 
-    def test_median_aggregate(self):
-        records = [
-            AcceptanceRecord("i0", 0, 0, GT3),
-            AcceptanceRecord("i1", 0, 0, GT3),
-            AcceptanceRecord("i2", 0, 1, GT3),
-        ]
-        est = estimate_delta_banded(
-            records, n_target=1, rescale=1.0, aggregate="median"
-        )
-        assert est == 1.0  # median picks an accepted record's (clamped) value
-
     def test_parameter_validation(self):
         rec = [AcceptanceRecord("i", 0, 0, GT3)]
         with pytest.raises(ValueError, match="invalid band"):
             estimate_delta_banded(rec, band=(0.4, 0.2))
         with pytest.raises(ValueError, match="invalid band"):
             estimate_delta_banded(rec, band=(-0.1, 0.3))
-        with pytest.raises(ValueError, match="aggregate"):
-            estimate_delta_banded(rec, aggregate="max")
         with pytest.raises(ValueError, match="rescale"):
             estimate_delta_banded(rec, rescale=-0.5)
+
+    @pytest.mark.parametrize("band", [(0.2,), (0.2, 0.4, 0.9), ()])
+    def test_band_needs_exactly_two_values(self, band):
+        # refused, not cut to its first two values or indexed past its end
+        rec = [AcceptanceRecord("i", 0, 0, GT3)]
+        with pytest.raises(ValueError, match="invalid band"):
+            estimate_delta_banded(rec, band=band, n_target=1)
 
 
 def _record(counts_a, counts_b, rho_a=0, rho_b=1, image_id="img"):

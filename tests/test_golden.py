@@ -216,13 +216,9 @@ CALIBRATE = {
         ("log.csv", "--method", "banded", "--band", "0.1,0.6"),
         "841fabd5e223ad5c3bdabe556a963630dc2fb521f8aa88da0e3d45bc8968e62a",
     ),
-    "banded-median": (
-        ("log.csv", "--method", "banded", "--band", "0.1,0.6", "--aggregate", "median"),
-        "8edbea85e9e58660311ce3cb3d68a0aff4597cbb04b81f4f04e78f0847bc88df",
-    ),
     "two-proposal": (
         ("two_rounds.csv", "--method", "two-proposal"),
-        "4355fd1613354c7ef827356563772dd84bbceec51bfe016b00bf31d7f78daec8",
+        "767ce2eb98bc3a572ffedee92f6493ba98b0219fc52efeb28f865b98479a81a1",
     ),
 }
 
@@ -350,7 +346,7 @@ def test_compare_strategies_digest(golden_dir, tmp_path):
 
 
 @pytest.mark.parametrize("run", sorted(CALIBRATE))
-def test_calibrate_digests(golden_dir, tmp_path, run):
+def test_calibrate_digests(golden_dir, tmp_path, capsys, run):
     (log, *flags), digest = CALIBRATE[run]
     out = tmp_path / "calibration.json"
     argv = [
@@ -363,6 +359,11 @@ def test_calibrate_digests(golden_dir, tmp_path, run):
     ]
     assert main(argv) == 0
     assert _sha256(out) == digest
+    # banded estimates from log rows, two-proposal from images
+    count = (
+        f"images: {len(TWO_ROUNDS)}" if run == "two-proposal" else f"records: {len(LOG)}"
+    )
+    assert capsys.readouterr().out.splitlines()[2] == count
 
 
 @pytest.mark.parametrize("n_images", sorted(ESTIMATE_TRANSITIONS))

@@ -507,7 +507,7 @@ class TestRunCalibration:
         cfg = ExperimentConfig(seed=0, dataset=str(ds_dir))
         report = run_calibration(cfg, log_path, "two-proposal")
         assert report["method"] == "two-proposal"
-        assert report["n_records"] == 50
+        assert report["n_images"] == 50
         assert report["estimate"] == estimate_delta_two_proposals(entries)
         assert report["n_survivors"] <= report["n_finite_candidates"] <= 50
         assert (
@@ -893,7 +893,7 @@ class TestCli:
             ),
             (
                 ["calibrate", "--dataset", "{ds}", "--log", "{log}", "--rescale"]
-                + ["inf", "--aggregate", "median", "--out", "{out}"],
+                + ["inf", "--out", "{out}"],
                 "rescale must be a finite number >= 0",
             ),
             (
@@ -942,7 +942,7 @@ class TestCli:
             "numeric-class-names",
             "speedups-nan",
             "rescale-nan",
-            "rescale-inf-median",
+            "rescale-inf",
             "sim-delta-nan",
             "sim-upper-bound-inf",
             "sim-delta-above-upper-bound",
@@ -1160,7 +1160,7 @@ class TestCliDefaultsMatchLibrary:
             (
                 ["calibrate", "--dataset", "d", "--log", "l"],
                 run_calibration,
-                {"band", "n_target", "aggregate", "threshold"},
+                {"band", "n_target", "threshold"},
             ),
             (
                 ["estimate-transitions", "--dataset", "d", "--seed", "0", "--out", "o"],
@@ -1223,7 +1223,6 @@ class TestCliDefaultsMatchLibrary:
                 {
                     "band": banded,
                     "n_target": banded,
-                    "aggregate": banded,
                     "threshold": [run_calibration, estimate_delta_two_proposals],
                 },
             ),

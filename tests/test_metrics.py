@@ -214,7 +214,7 @@ class TestIntervalRule:
             masses = np.array([r.gt.probs[r.proposal] for r in records])
             accepted = np.array([r.accepted for r in records])
             keys = [r.image_id for r in records]
-            return _fit_banded(masses, accepted, keys, band, 1, 1.0, "mean", 0.99)
+            return _fit_banded(masses, accepted, keys, band, 1, 1.0, 0.99)
 
         if not expected:
             with pytest.raises(CalibrationError, match="no records"):
